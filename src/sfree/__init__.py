@@ -45,6 +45,7 @@ from .monoid import (
     local_divisor,
     parse_monoid_table,
     psi_image,
+    transition_aperiodicity,
     transition_monoid,
     unit_factorization_check,
     validate_monoid,

@@ -13,17 +13,18 @@ Exit codes: 0 star-free / equivalent / agreement, 1 the negative outcome,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .automata import Alphabet, Dfa, dfa_equivalent, dfa_minimize, load_dfa
+from .automata import Alphabet, Dfa, dfa_equivalent, load_dfa
 from .errors import AlphabetError, MonoidSizeError, ParseError, SfreeError
 from .monoid import (
     DEFAULT_MONOID_CAP,
     Homomorphism,
     is_aperiodic,
     parse_monoid_table,
-    transition_monoid,
+    transition_aperiodicity,
 )
 from .regex import RESERVED, parse_regex, regex_to_dfa
 from .sfexpr import eval_expr, expr_letters, metrics, n_bound, parse_expr, render_expr
@@ -52,7 +53,9 @@ class _SpecAction(argparse.Action):
         specs.append((self.dest, values))
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and kept for the process."""
     parser = _Parser(prog="sfree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -223,10 +226,9 @@ def _cmd_analyze(args) -> int:
     else:
         if getattr(args, "letters", None) is not None:
             raise _UsageError("--letters requires --monoid")
-        d = _load_language(args)
-        monoid, _, _ = transition_monoid(dfa_minimize(d), max_size=args.max_monoid)
-        witness = is_aperiodic(monoid)
-        size = monoid.size
+        size, witness = transition_aperiodicity(
+            _load_language(args), max_size=args.max_monoid
+        )
         language_input = True
     if args.json:
         _report_json(size, witness)
@@ -342,7 +344,7 @@ def _cmd_oracle(args) -> int:
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -5,6 +5,12 @@ one-line parseable diagnostics.
 """
 
 
+#: Deepest parenthesis nesting the regex and expression parsers accept.  The
+#: parsers and the tree walks after them recurse once per level, so deeper
+#: input is refused with a ParseError well before Python's recursion limit.
+MAX_NESTING = 100
+
+
 class SfreeError(Exception):
     """Base class for all errors raised by this package."""
 

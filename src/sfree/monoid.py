@@ -8,6 +8,7 @@ submonoids of homomorphisms, and local divisors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable
 
 from .automata import Alphabet, Dfa, dfa_minimize
@@ -198,6 +199,32 @@ def image_submonoid(h: Homomorphism, letters: Alphabet | Iterable[str]) -> tuple
     return _closure(h.monoid, tuple(h.image_of(a) for a in letters))
 
 
+def _transformations(d: Dfa, max_size: int) -> tuple[list[tuple[int, ...]], frozenset[int]]:
+    """The state transformations generated by the letter actions of ``d``
+    under composition, discovered breadth-first from the identity with
+    letters in alphabet order, and the indices of those that send the
+    initial state into an accepting one.  Raises :class:`MonoidSizeError`
+    once more than ``max_size`` transformations turn up."""
+    m = d.n_states
+    letter_maps = [
+        tuple(d.transitions[s][j] for s in range(m)) for j in range(len(d.alphabet))
+    ]
+    elems = [tuple(range(m))]
+    seen = {elems[0]}
+    for t in elems:
+        for amap in letter_maps:
+            u = tuple(amap[t[s]] for s in range(m))
+            if u not in seen:
+                if len(elems) >= max_size:
+                    raise MonoidSizeError(
+                        f"transition monoid exceeds the size cap {max_size}"
+                    )
+                seen.add(u)
+                elems.append(u)
+    accept = frozenset(i for i, t in enumerate(elems) if t[d.initial] in d.accepting)
+    return elems, accept
+
+
 def transition_monoid(d: Dfa, max_size: int = DEFAULT_MONOID_CAP):
     """Transition monoid of a minimal complete DFA.
 
@@ -215,33 +242,74 @@ def transition_monoid(d: Dfa, max_size: int = DEFAULT_MONOID_CAP):
             f"transition monoid requires a minimal DFA "
             f"({d.n_states} states, minimal has {dfa_minimize(d).n_states})"
         )
+    elems, accept = _transformations(d, max_size)
+    pos = {t: i for i, t in enumerate(elems)}
     m = d.n_states
-    k = len(d.alphabet)
-    letter_maps = [
-        tuple(d.transitions[s][j] for s in range(m)) for j in range(k)
-    ]
-    ident = tuple(range(m))
-    elems = [ident]
-    pos = {ident: 0}
-    for t in elems:
-        for amap in letter_maps:
-            u = tuple(amap[t[s]] for s in range(m))
-            if u not in pos:
-                if len(elems) >= max_size:
-                    raise MonoidSizeError(
-                        f"transition monoid exceeds the size cap {max_size}"
-                    )
-                pos[u] = len(elems)
-                elems.append(u)
-    n = len(elems)
     table = tuple(
         tuple(pos[tuple(ej[ei[s]] for s in range(m))] for ej in elems)
         for ei in elems
     )
     monoid = validate_monoid(table, 0)
-    hom = Homomorphism(d.alphabet, monoid, tuple(pos[amap] for amap in letter_maps))
-    accept = frozenset(i for i, t in enumerate(elems) if t[d.initial] in d.accepting)
+    letter_images = tuple(
+        pos[tuple(row[j] for row in d.transitions)] for j in range(len(d.alphabet))
+    )
+    hom = Homomorphism(d.alphabet, monoid, letter_images)
     return monoid, hom, accept
+
+
+def _power_shape(t: tuple[int, ...]) -> tuple[int, int]:
+    """``(index, period)`` of a state transformation: the least ``k >= 1``
+    and ``d >= 1`` with ``t^k = t^(k+d)``.
+
+    Read off the functional graph of ``t``: ``k`` is the longest tail that
+    leads into a cycle (at least 1) and ``d`` the lcm of the cycle lengths."""
+    ON_PATH, UNSEEN = -2, -1
+    tail = [UNSEEN] * len(t)
+    index, period = 1, 1
+    for s0 in range(len(t)):
+        path, s = [], s0
+        while tail[s] == UNSEEN:
+            tail[s] = ON_PATH
+            path.append(s)
+            s = t[s]
+        if tail[s] == ON_PATH:  # the walk closed a new cycle through s
+            i = path.index(s)
+            period = lcm(period, len(path) - i)
+            for q in path[i:]:
+                tail[q] = 0
+            del path[i:]
+        length = tail[s]
+        for q in reversed(path):
+            length += 1
+            tail[q] = length
+        index = max(index, length)
+    return index, period
+
+
+def _first_periodic(elems) -> AperiodicityWitness | None:
+    """Witness for the first transformation in ``elems`` with period >= 2."""
+    for x, t in enumerate(elems):
+        index, period = _power_shape(t)
+        if period >= 2:
+            return AperiodicityWitness(element=x, index=index, period=period)
+    return None
+
+
+def transition_aperiodicity(
+    d: Dfa, max_size: int = DEFAULT_MONOID_CAP
+) -> tuple[int, AperiodicityWitness | None]:
+    """Size of the syntactic monoid of ``d``'s language and the periodicity
+    witness of :func:`is_aperiodic`, without a multiplication table.
+
+    ``d`` is minimized first.  The elements of its transition monoid are
+    enumerated in :func:`transition_monoid`'s order; a transformation monoid
+    is aperiodic iff no element's functional graph has a cycle of length
+    >= 2, and the first element that has one is the witness, so the result
+    equals ``(monoid.size, is_aperiodic(monoid))`` for ``monoid`` the first
+    component of ``transition_monoid(dfa_minimize(d))``.  Raises
+    :class:`MonoidSizeError` past ``max_size``."""
+    elems, _ = _transformations(dfa_minimize(d), max_size)
+    return len(elems), _first_periodic(elems)
 
 
 @dataclass(frozen=True)

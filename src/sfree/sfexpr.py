@@ -26,7 +26,7 @@ from .automata import (
     letter_dfa,
     universal_dfa,
 )
-from .errors import AlphabetError, ParseError
+from .errors import MAX_NESTING, AlphabetError, ParseError
 
 
 class SfExpr:
@@ -371,26 +371,36 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse_expr(text: str, alphabet: Alphabet | None = None) -> SfExpr:
-    """Parse the textual grammar; with an alphabet, letters are validated."""
+    """Parse the textual grammar; with an alphabet, letters are validated.
+
+    Parentheses may nest at most ``MAX_NESTING`` levels deep; deeper input
+    raises :class:`ParseError`."""
     toks = _tokenize(text)
     k = 0
+    depth = 0
 
     def peek():
         return toks[k] if k < len(toks) else None
 
     def parse_atom() -> SfExpr:
-        nonlocal k
+        nonlocal k, depth
         tok = peek()
         if tok is None:
             raise ParseError("expected an expression, found end of input", len(text))
         kind, val, pos = tok
         if kind == "punct" and val == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", pos
+                )
+            depth += 1
             k += 1
             node = parse_sum()
             tok = peek()
             if tok is None or tok[1] != ")":
                 raise ParseError("expected ')'", tok[2] if tok else len(text))
             k += 1
+            depth -= 1
             return node
         if kind == "keyword":
             k += 1

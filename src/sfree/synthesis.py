@@ -31,6 +31,8 @@ from .monoid import (
     AperiodicityWitness,
     Homomorphism,
     LocalDivisor,
+    _first_periodic,
+    _transformations,
     image_submonoid,
     is_aperiodic,
     local_divisor,
@@ -336,22 +338,24 @@ def decide_star_free(
 ) -> StarFreenessVerdict:
     """Decide star-freeness of the language of ``d``.
 
-    Minimizes the input, computes the transition monoid of the minimal DFA,
-    and tests aperiodicity.  Aperiodic: synthesizes one expression per
-    accepting image element (their union denotes the language); otherwise
-    the verdict carries a periodicity witness."""
+    Minimizes the input and tests the aperiodicity of its transition monoid
+    from the state transformations alone.  Not aperiodic: the verdict
+    carries a periodicity witness.  Aperiodic: builds the monoid's table and
+    synthesizes one expression per accepting image element (their union
+    denotes the language)."""
     minimal = dfa_minimize(d)
-    monoid, hom, accept = transition_monoid(minimal, max_size=max_monoid)
-    witness = is_aperiodic(monoid)
-    elements = tuple(sorted(accept))
+    elems, accept = _transformations(minimal, max_monoid)
+    witness = _first_periodic(elems)
     if witness is not None:
         return StarFreenessVerdict(
             star_free=False,
-            monoid_size=monoid.size,
+            monoid_size=len(elems),
             witness=witness,
             expressions=None,
-            accept_elements=elements,
+            accept_elements=tuple(sorted(accept)),
         )
+    monoid, hom, accept = transition_monoid(minimal, max_size=max_monoid)
+    elements = tuple(sorted(accept))
     ctx = SynthesisContext(max_monoid=max_monoid)
     expressions = []
     for p in elements:

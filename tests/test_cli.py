@@ -3,6 +3,7 @@ import json
 import pytest
 
 from corpus import APERIODIC_CORPUS, NON_APERIODIC
+from sfree import cli
 from sfree.automata import Alphabet, save_dfa
 from sfree.cli import run_cli
 from sfree.monoid import FiniteMonoid, format_monoid_table
@@ -211,6 +212,57 @@ class TestOracle:
             capsys, "oracle", "--dfa", str(path), "--regex", "(ab)*", "--maxlen", "6"
         )
         assert code == 0
+
+
+class TestDeepInputs:
+    """Inputs nested past the interpreter's recursion limit keep the exit-code
+    contract: 2 for refused input, never a traceback."""
+
+    def test_deeply_parenthesized_regex_is_an_input_error(self, capsys):
+        code, _, err = run(capsys, "analyze", "--regex", "(" * 300 + "a" + ")" * 300)
+        assert code == 2 and err.startswith("error: parse:")
+
+    def test_stacked_stars_compile(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--regex", "a" + "*" * 3000, "--json")
+        assert code == 0 and json.loads(out)["monoid_size"] == 1
+
+    def test_deeply_parenthesized_expression_is_an_input_error(self, capsys, tmp_path):
+        expr_file = write(tmp_path, "deep.txt", "(" * 2000 + "a" + ")" * 2000)
+        code, _, err = run(capsys, "bound", "--expr", expr_file)
+        assert code == 2 and err.startswith("error: parse:")
+
+
+class TestParserReuse:
+    """The argument parser is built once per process; no call may see state
+    left by an earlier one.  Each call in a sequence must match the same call
+    made with a freshly built parser, as in a new process."""
+
+    def check_sequence(self, capsys, calls):
+        assert cli._parser() is cli._parser()
+        reused = [run(capsys, *argv) for argv in calls]
+        for argv, got in zip(calls, reused):
+            cli._parser.cache_clear()
+            assert run(capsys, *argv) == got, argv
+
+    def test_consecutive_oracle_specs(self, capsys):
+        self.check_sequence(capsys, [
+            ("oracle", "--regex", "a*", "--regex", "(a|b)*", "--alphabet", "ab"),
+            ("oracle", "--regex", "a", "--regex", "a", "--alphabet", "ab"),
+        ])
+
+    def test_usage_error_then_analyze(self, capsys):
+        self.check_sequence(capsys, [
+            ("analyze", "--regex", "(ab)*", "--bogus"),
+            ("analyze", "--regex", "(ab)*"),
+        ])
+
+    def test_json_and_plain_alternate(self, capsys):
+        self.check_sequence(capsys, [
+            ("analyze", "--regex", "(aa)*", "--json"),
+            ("analyze", "--regex", "(aa)*"),
+            ("analyze", "--regex", "(ab)*", "--json"),
+            ("analyze", "--regex", "(ab)*"),
+        ])
 
 
 class TestCorpusInvariants:

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import APERIODIC_CORPUS, corpus_dfa, words_upto
+from corpus import APERIODIC_CORPUS, NON_APERIODIC, corpus_dfa, words_upto
 from sfree.automata import (
     Alphabet,
     Dfa,
     dfa_equivalent,
     dfa_from_homomorphism,
+    dfa_minimize,
 )
 from sfree.errors import (
     AlphabetError,
@@ -25,6 +26,7 @@ from sfree.monoid import (
     local_divisor,
     parse_monoid_table,
     psi_image,
+    transition_aperiodicity,
     transition_monoid,
     unit_factorization_check,
     validate_monoid,
@@ -146,6 +148,77 @@ class TestAperiodicity:
         z3 = FiniteMonoid(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
         w = is_aperiodic(z3)
         assert w is not None and w.period == 3 and w.holds_in(z3)
+
+
+def count_mod(k):
+    """Words over ab whose number of a's is divisible by k."""
+    return Dfa(AB, tuple(((s + 1) % k, s) for s in range(k)), 0, frozenset({0}))
+
+
+def assert_table_free_matches(d, max_size=64):
+    """The table-free test agrees with is_aperiodic on the table, witness
+    included, and the witness holds in the table."""
+    monoid, _, _ = transition_monoid(dfa_minimize(d), max_size=max_size)
+    witness = is_aperiodic(monoid)
+    assert transition_aperiodicity(d, max_size=max_size) == (monoid.size, witness)
+    assert witness is None or witness.holds_in(monoid)
+    return witness
+
+
+class TestTableFree:
+    def test_corpus(self):
+        for name, pattern, letters in APERIODIC_CORPUS:
+            assert assert_table_free_matches(corpus_dfa(pattern, letters)[0]) is None, name
+        for name, pattern, letters in NON_APERIODIC:
+            assert assert_table_free_matches(corpus_dfa(pattern, letters)[0]) is not None, name
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_cyclic_languages(self, k):
+        d, _ = corpus_dfa("(" + "a" * k + ")*", "a")
+        assert assert_table_free_matches(d).period == k
+        assert assert_table_free_matches(count_mod(k)).period == k
+
+    @pytest.mark.parametrize("j,k", [(3, 2), (5, 2), (4, 3), (7, 5)])
+    def test_index_past_one(self, j, k):
+        d, _ = corpus_dfa("a" * j + "(" + "a" * k + ")*", "a")
+        witness = assert_table_free_matches(d)
+        assert witness.index > 1 and witness.period == k
+
+    def test_non_minimal_input_is_minimized(self):
+        d = Dfa(AB, ((1, 2), (3, 0), (2, 2), (3, 3)), 0, frozenset({0}))
+        assert dfa_minimize(d).n_states < d.n_states
+        assert_table_free_matches(d)
+
+    def test_size_cap(self):
+        d, _ = corpus_dfa("(ab)*", "ab")
+        with pytest.raises(MonoidSizeError):
+            transition_aperiodicity(d, max_size=5)
+        assert transition_aperiodicity(d, max_size=6) == (6, None)
+        # a periodic element found before the cap does not stop the count
+        with pytest.raises(MonoidSizeError):
+            transition_monoid(count_mod(12), max_size=5)
+        with pytest.raises(MonoidSizeError):
+            transition_aperiodicity(count_mod(12), max_size=5)
+
+
+@st.composite
+def small_dfas(draw):
+    m = draw(st.integers(1, 5))
+    rows = tuple(
+        tuple(draw(st.integers(0, m - 1)) for _ in range(2)) for _ in range(m)
+    )
+    accepting = draw(st.frozensets(st.integers(0, m - 1)))
+    return Dfa(AB, rows, 0, accepting)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_dfas())
+def test_table_free_matches_table_on_random_dfas(d):
+    try:
+        assert_table_free_matches(d)
+    except MonoidSizeError:
+        with pytest.raises(MonoidSizeError):
+            transition_aperiodicity(d)
 
 
 class TestUnitFactorization:

@@ -1,10 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import naive_match, words_upto
+from corpus import APERIODIC_CORPUS, NON_APERIODIC, naive_match, words_upto
 from sfree import regex as rx
 from sfree.automata import Alphabet, Dfa, dfa_equivalent, universal_dfa
-from sfree.errors import ParseError
+from sfree.errors import MAX_NESTING, ParseError
 from sfree.regex import parse_regex, regex_to_dfa, render_regex
 
 AB = Alphabet.of("ab")
@@ -37,6 +39,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_regex("a)", A1)
 
+    def test_nesting_limit(self):
+        deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+        assert parse_regex(deepest, A1) == rx.Letter("a")
+        with pytest.raises(ParseError, match="nest deeper") as err:
+            parse_regex("(" + deepest + ")", A1)
+        assert err.value.position == MAX_NESTING
+
     def test_precedence(self):
         # star > concat > union
         got = parse_regex("ab*|a", AB)
@@ -64,6 +73,52 @@ class TestCompile:
     def test_universal(self):
         d = regex_to_dfa(parse_regex("(a|b)*", AB), AB)
         assert dfa_equivalent(d, universal_dfa(AB))
+
+    def test_deep_star_chain_compiles(self):
+        d = regex_to_dfa(parse_regex("a" + "*" * 3000, A1), A1)
+        assert d == Dfa(A1, ((0,),), 0, frozenset({0}))
+
+    def test_deep_concatenation_and_union_compile(self):
+        # left-deep chains 3000 nodes deep, far past the recursion limit
+        letter_a = regex_to_dfa(parse_regex("a", AB), AB)
+        assert regex_to_dfa(parse_regex("a" + "_" * 3000, AB), AB) == letter_a
+        assert regex_to_dfa(parse_regex("|".join("a" * 3000), AB), AB) == letter_a
+
+
+def python_pattern(node):
+    """The AST as a pattern for Python's ``re``: ``_`` is the empty pattern
+    and ``#`` the pattern that never matches."""
+    if isinstance(node, rx.Empty):
+        return "(?!)"
+    if isinstance(node, rx.Epsilon):
+        return ""
+    if isinstance(node, rx.Letter):
+        return re.escape(node.letter)
+    if isinstance(node, rx.Union):
+        return f"(?:{python_pattern(node.left)}|{python_pattern(node.right)})"
+    if isinstance(node, rx.Concat):
+        return f"(?:{python_pattern(node.left)})(?:{python_pattern(node.right)})"
+    return f"(?:{python_pattern(node.inner)})*"
+
+
+ORACLE_PATTERNS = [
+    (pattern, "ab")
+    for pattern in (
+        "_", "#", "_*", "#*", "#a", "a#|b", "a|_", "_|ab", "(_|#)*", "(a|_)*",
+        "a**", "(a*)*b", "(a*b*)*", "((ab)*a*)**", "((a|b)*a)*b",
+        "(a|_)(b|_)*a", "(aa|b)*(a|_)", "(a(b(ab)*)*)*", "(a|b|_)(ab|ba|_)*",
+    )
+] + [(pattern, letters) for _, pattern, letters in APERIODIC_CORPUS + NON_APERIODIC]
+
+
+@pytest.mark.parametrize("pattern,letters", ORACLE_PATTERNS)
+def test_compile_agrees_with_python_re(pattern, letters):
+    alphabet = Alphabet.of(letters)
+    ast = parse_regex(pattern, alphabet)
+    d = regex_to_dfa(ast, alphabet)
+    oracle = re.compile(python_pattern(ast))
+    for w in words_upto(letters, 6):
+        assert d.accepts(w) == (oracle.fullmatch("".join(w)) is not None), (pattern, w)
 
 
 letters = st.sampled_from([rx.Letter("a"), rx.Letter("b"), rx.Epsilon(), rx.Empty()])

@@ -9,7 +9,7 @@ from sfree.automata import (
     enumerate_members,
     universal_dfa,
 )
-from sfree.errors import AlphabetError, ParseError
+from sfree.errors import MAX_NESTING, AlphabetError, ParseError
 from sfree.regex import parse_regex, regex_to_dfa
 from sfree.sfexpr import (
     ALL,
@@ -161,6 +161,13 @@ class TestRenderParse:
         with pytest.raises(ParseError) as err:
             parse_expr("a | ", AB)
         assert err.value.position == 4
+
+    def test_nesting_limit(self):
+        deepest = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+        assert parse_expr(deepest, AB) == Letter("a")
+        with pytest.raises(ParseError, match="nest deeper") as err:
+            parse_expr("(" + deepest + ")", AB)
+        assert err.value.position == MAX_NESTING
 
     def test_multichar_must_be_quoted(self):
         with pytest.raises(ParseError, match="must be quoted"):
