@@ -1,17 +1,16 @@
 """Decide star-freeness of regular languages and synthesize star-free
-expressions, with exact DFA-equivalence verification.
+expressions.
 
 A regular language is star-free exactly when its syntactic monoid is
 aperiodic; for aperiodic inputs this package constructs an expression built
 from the full language, single letters, union, set difference, and
-concatenation only, and checks it against the input by automata
-equivalence."""
+concatenation only.  The construction does not check its output;
+``dfa_equivalent(eval_expr(expr, alphabet), dfa)`` does, and ``sfree
+verify`` runs that check on an expression file."""
 
 from .automata import (
     Alphabet,
     Dfa,
-    alph,
-    dfa_accepts,
     dfa_combine,
     dfa_complement,
     dfa_equivalent,
@@ -24,6 +23,7 @@ from .automata import (
     load_dfa,
     save_dfa,
     universal_dfa,
+    words,
 )
 from .errors import (
     AlphabetError,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .errors import AlphabetError, MonoidError, ParseError
+from .errors import AlphabetError, MonoidError, ParseError, SfreeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from .monoid import Homomorphism
@@ -77,11 +77,6 @@ class Alphabet:
         return Alphabet(tuple(a for a in self.letters if a != letter))
 
 
-def alph(word: Iterable[str]) -> frozenset[str]:
-    """The set of letters occurring in a word."""
-    return frozenset(word)
-
-
 @dataclass(frozen=True)
 class Dfa:
     """Complete DFA.  ``transitions[s][j]`` is the successor of state ``s`` on
@@ -92,6 +87,10 @@ class Dfa:
     transitions: tuple[tuple[int, ...], ...]
     initial: int
     accepting: frozenset[int]
+
+    #: Set on the results of :func:`dfa_minimize`, which returns such a DFA
+    #: unchanged.  Not a field: it takes no part in equality or hashing.
+    _minimal = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -120,9 +119,6 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def step(self, state: int, letter: str) -> int:
-        return self.transitions[state][self.alphabet.index(letter)]
-
     def run(self, word: Iterable[str]) -> int:
         """State reached from the initial state after reading ``word``."""
         s = self.initial
@@ -134,20 +130,16 @@ class Dfa:
         return self.run(word) in self.accepting
 
 
-def dfa_accepts(d: Dfa, word: Iterable[str]) -> bool:
-    """Membership by transition walk; raises on letters outside d's alphabet."""
-    return d.accepts(word)
+def words(alphabet: Alphabet, maxlen: int) -> Iterator[Word]:
+    """All words over ``alphabet`` of length <= maxlen, in length-lexicographic
+    order (using the alphabet's declared letter order)."""
+    for n in range(maxlen + 1):
+        yield from product(alphabet.letters, repeat=n)
 
 
 def enumerate_members(d: Dfa, maxlen: int) -> list[Word]:
-    """All accepted words of length <= maxlen, in length-lexicographic order
-    (using the alphabet's declared letter order)."""
-    out: list[Word] = []
-    for n in range(maxlen + 1):
-        for combo in product(d.alphabet.letters, repeat=n):
-            if d.accepts(combo):
-                out.append(combo)
-    return out
+    """All accepted words of length <= maxlen, in the order of :func:`words`."""
+    return [w for w in words(d.alphabet, maxlen) if d.accepts(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +153,15 @@ def dfa_minimize(d: Dfa) -> Dfa:
     refinement), and the result is renumbered breadth-first from the initial
     state with letters in alphabet order.  The numbering makes the result
     canonical: two language-equal DFAs minimize to structurally identical
-    values.
+    values.  A result of this function is returned unchanged when passed in
+    again.
     """
-    k = len(d.alphabet)
-
-    # restrict to reachable states, BFS in letter order
-    order = [d.initial]
-    pos = {d.initial: 0}
-    for s in order:
-        for t in d.transitions[s]:
-            if t not in pos:
-                pos[t] = len(order)
-                order.append(t)
-    trans = [tuple(pos[d.transitions[s][j]] for j in range(k)) for s in order]
-    acc = {pos[s] for s in d.accepting if s in pos}
-    m = len(order)
+    if d._minimal:
+        return d
+    reach = _crawl(
+        d.alphabet, d.initial, d.transitions.__getitem__, d.accepting.__contains__
+    )
+    trans, acc, m = reach.transitions, reach.accepting, reach.n_states
 
     # Moore refinement: split classes by (finality, successor classes)
     block = [1 if s in acc else 0 for s in range(m)]
@@ -190,30 +176,18 @@ def dfa_minimize(d: Dfa) -> Dfa:
             break
         n_classes = len(ids)
 
-    # quotient automaton
+    # quotient automaton, renumbered canonically
     btrans: list[tuple[int, ...] | None] = [None] * n_classes
-    bacc = set()
     for s in range(m):
         b = block[s]
         if btrans[b] is None:
             btrans[b] = tuple(block[t] for t in trans[s])
-        if s in acc:
-            bacc.add(b)
-
-    # canonical renumbering
-    order2 = [block[0]]
-    pos2 = {block[0]: 0}
-    for b in order2:
-        for t in btrans[b]:  # type: ignore[union-attr]
-            if t not in pos2:
-                pos2[t] = len(order2)
-                order2.append(t)
-    assert len(order2) == n_classes, "quotient of a reachable DFA is reachable"
-    final = tuple(
-        tuple(pos2[btrans[b][j]] for j in range(k))  # type: ignore[index]
-        for b in order2
-    )
-    return Dfa(d.alphabet, final, 0, frozenset(pos2[b] for b in bacc))
+    bacc = {block[s] for s in acc}
+    out = _crawl(d.alphabet, block[0], btrans.__getitem__, bacc.__contains__)
+    if out.n_states != n_classes:
+        raise SfreeError("quotient of a reachable DFA is reachable")
+    object.__setattr__(out, "_minimal", True)
+    return out
 
 
 def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:
@@ -253,44 +227,23 @@ def dfa_complement(d: Dfa) -> Dfa:
     return Dfa(d.alphabet, d.transitions, d.initial, frozenset(range(d.n_states)) - d.accepting)
 
 
-def _product(d1: Dfa, d2: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
-    k = len(d1.alphabet)
-    start = (d1.initial, d2.initial)
-    order = [start]
-    pos = {start: 0}
-    rows = []
-    for s, t in order:
-        row = []
-        for j in range(k):
-            nxt = (d1.transitions[s][j], d2.transitions[t][j])
-            i = pos.get(nxt)
-            if i is None:
-                i = pos[nxt] = len(order)
-                order.append(nxt)
-            row.append(i)
-        rows.append(tuple(row))
-    acc = frozenset(
-        i for i, (s, t) in enumerate(order) if keep(s in d1.accepting, t in d2.accepting)
-    )
-    return Dfa(d1.alphabet, tuple(rows), 0, acc)
-
-
 def _crawl(
     alphabet: Alphabet,
     start,
-    follow: Callable,
+    successors: Callable,
     final: Callable,
 ) -> Dfa:
-    """Subset-construction helper: explore an implicitly given deterministic
-    state space from ``start``, following letters in alphabet order."""
-    k = len(alphabet)
+    """Explore an implicitly given deterministic state space breadth-first
+    from ``start``.  ``successors(state)`` yields the next states in alphabet
+    order and ``final(state)`` tells whether a state accepts.  States are
+    numbered in order of discovery, so every state of the result is
+    reachable."""
     order = [start]
     pos = {start: 0}
     rows = []
     for state in order:
         row = []
-        for j in range(k):
-            nxt = follow(state, j)
+        for nxt in successors(state):
             i = pos.get(nxt)
             if i is None:
                 i = pos[nxt] = len(order)
@@ -301,6 +254,16 @@ def _crawl(
     return Dfa(alphabet, tuple(rows), 0, acc)
 
 
+def _product(d1: Dfa, d2: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
+    t1, t2 = d1.transitions, d2.transitions
+    return _crawl(
+        d1.alphabet,
+        (d1.initial, d2.initial),
+        lambda pair: zip(t1[pair[0]], t2[pair[1]]),
+        lambda pair: keep(pair[0] in d1.accepting, pair[1] in d2.accepting),
+    )
+
+
 def _concatenate(d1: Dfa, d2: Dfa) -> Dfa:
     # Epsilon-free nondeterministic composition, determinized on the fly.
     # A tracked state (0, s) lives in d1; whenever it hits an accepting state
@@ -309,22 +272,23 @@ def _concatenate(d1: Dfa, d2: Dfa) -> Dfa:
     if d1.initial in d1.accepting:
         start.add((1, d2.initial))
 
-    def follow(states, j):
-        nxt = set()
-        for tag, s in states:
-            if tag == 0:
-                t = d1.transitions[s][j]
-                nxt.add((0, t))
-                if t in d1.accepting:
-                    nxt.add((1, d2.initial))
-            else:
-                nxt.add((1, d2.transitions[s][j]))
-        return frozenset(nxt)
+    def successors(states):
+        for j in range(len(d1.alphabet)):
+            nxt = set()
+            for tag, s in states:
+                if tag == 0:
+                    t = d1.transitions[s][j]
+                    nxt.add((0, t))
+                    if t in d1.accepting:
+                        nxt.add((1, d2.initial))
+                else:
+                    nxt.add((1, d2.transitions[s][j]))
+            yield frozenset(nxt)
 
     def final(states):
         return any(tag == 1 and s in d2.accepting for tag, s in states)
 
-    return _crawl(d1.alphabet, frozenset(start), follow, final)
+    return _crawl(d1.alphabet, frozenset(start), successors, final)
 
 
 def dfa_combine(kind: str, d1: Dfa, d2: Dfa) -> Dfa:
@@ -392,23 +356,13 @@ def dfa_from_homomorphism(h: "Homomorphism", targets: Iterable[int]) -> Dfa:
     for t in targets:
         if not 0 <= t < monoid.size:
             raise MonoidError(f"target {t!r} is not a monoid element")
-    images = h.letter_image
-    k = len(h.alphabet)
-    order = [monoid.identity]
-    pos = {monoid.identity: 0}
-    rows = []
-    for x in order:
-        row = []
-        for j in range(k):
-            y = monoid.mul(x, images[j])
-            i = pos.get(y)
-            if i is None:
-                i = pos[y] = len(order)
-                order.append(y)
-            row.append(i)
-        rows.append(tuple(row))
-    acc = frozenset(i for i, x in enumerate(order) if x in targets)
-    return Dfa(h.alphabet, tuple(rows), 0, acc)
+    table, images = monoid.table, h.letter_image
+    return _crawl(
+        h.alphabet,
+        monoid.identity,
+        lambda x: map(table[x].__getitem__, images),
+        targets.__contains__,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 
-from .automata import Alphabet, Dfa, dfa_equivalent, load_dfa
+from .automata import Alphabet, Dfa, dfa_equivalent, load_dfa, words
 from .errors import AlphabetError, MonoidSizeError, ParseError, SfreeError
 from .monoid import (
     DEFAULT_MONOID_CAP,
@@ -309,29 +309,26 @@ def _cmd_oracle(args) -> int:
             f"the two specs use different alphabets: "
             f"{list(d1.alphabet.letters)!r} vs {list(d2.alphabet.letters)!r}"
         )
-    from itertools import product
-
-    for n in range(args.maxlen + 1):
-        for word in product(d1.alphabet.letters, repeat=n):
-            m1, m2 = d1.accepts(word), d2.accepts(word)
-            if m1 != m2:
-                if args.json:
-                    print(
-                        json.dumps(
-                            {
-                                "agree": False,
-                                "word": _format_word(word),
-                                "left": m1,
-                                "right": m2,
-                            }
-                        )
+    for word in words(d1.alphabet, args.maxlen):
+        m1, m2 = d1.accepts(word), d2.accepts(word)
+        if m1 != m2:
+            if args.json:
+                print(
+                    json.dumps(
+                        {
+                            "agree": False,
+                            "word": _format_word(word),
+                            "left": m1,
+                            "right": m2,
+                        }
                     )
-                else:
-                    print(
-                        f"disagree: word '{_format_word(word)}' "
-                        f"left={'yes' if m1 else 'no'} right={'yes' if m2 else 'no'}"
-                    )
-                return 1
+                )
+            else:
+                print(
+                    f"disagree: word '{_format_word(word)}' "
+                    f"left={'yes' if m1 else 'no'} right={'yes' if m2 else 'no'}"
+                )
+            return 1
     if args.json:
         print(json.dumps({"agree": True, "maxlen": args.maxlen}))
     else:
@@ -360,6 +357,11 @@ def run_cli(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        # expression walks recurse once per operator, so a long flat chain
+        # can pass the parser's nesting limit and still exhaust the stack
+        print(f"error: depth: input nests too deeply: {exc}", file=sys.stderr)
         return 2
 
 

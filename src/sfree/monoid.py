@@ -121,7 +121,8 @@ def is_aperiodic(monoid: FiniteMonoid) -> AperiodicityWitness | None:
                 e += 1
             k = first[p]
             d = e - k
-            assert d >= 2, "period 1 contradicts the power test"
+            if d < 2:
+                raise MonoidError("period 1 contradicts the power test")
             return AperiodicityWitness(element=x, index=k, period=d)
     return None
 
@@ -237,12 +238,21 @@ def transition_monoid(d: Dfa, max_size: int = DEFAULT_MONOID_CAP):
     one.  For a minimal DFA this realizes the syntactic monoid and syntactic
     morphism, and ``accept_elements`` is the image of the language.
     """
-    if dfa_minimize(d).n_states != d.n_states:
+    minimal_states = dfa_minimize(d).n_states
+    if minimal_states != d.n_states:
         raise NotMinimalError(
             f"transition monoid requires a minimal DFA "
-            f"({d.n_states} states, minimal has {dfa_minimize(d).n_states})"
+            f"({d.n_states} states, minimal has {minimal_states})"
         )
     elems, accept = _transformations(d, max_size)
+    hom = _transition_table(d, elems)
+    return hom.monoid, hom, accept
+
+
+def _transition_table(d: Dfa, elems: list[tuple[int, ...]]) -> Homomorphism:
+    """The homomorphism sending each letter of ``d`` to its action, into the
+    validated multiplication table of the transformations ``elems`` of ``d``
+    as enumerated by :func:`_transformations`."""
     pos = {t: i for i, t in enumerate(elems)}
     m = d.n_states
     table = tuple(
@@ -253,8 +263,7 @@ def transition_monoid(d: Dfa, max_size: int = DEFAULT_MONOID_CAP):
     letter_images = tuple(
         pos[tuple(row[j] for row in d.transitions)] for j in range(len(d.alphabet))
     )
-    hom = Homomorphism(d.alphabet, monoid, letter_images)
-    return monoid, hom, accept
+    return Homomorphism(d.alphabet, monoid, letter_images)
 
 
 def _power_shape(t: tuple[int, ...]) -> tuple[int, int]:
@@ -404,7 +413,13 @@ def psi_image(h: Homomorphism, c: str, t: int) -> int:
             f"element {t} is outside the image submonoid over the alphabet "
             f"without {c!r}"
         )
-    return h.monoid.mul(h.monoid.mul(pc, t), pc)
+    return _psi(h.monoid, pc, t)
+
+
+def _psi(monoid: FiniteMonoid, c: int, t: int) -> int:
+    """``c * t * c``, the element that a block with image ``t`` stands for in
+    the local divisor at ``c``, with no check that ``t`` may occur there."""
+    return monoid.table[monoid.table[c][t]][c]
 
 
 # ---------------------------------------------------------------------------

@@ -230,13 +230,13 @@ def regex_to_dfa(r: Regex, alphabet: Alphabet) -> Dfa:
     ]
     start = len(follow)
 
-    def step(state: frozenset[int], j: int) -> frozenset[int]:
+    def successors(state: frozenset[int]) -> list[frozenset[int]]:
         if len(state) == 1:
             (p,) = state
-            return succ[p][j]
-        return frozenset().union(*(succ[p][j] for p in state))
+            return succ[p]
+        return [frozenset().union(*(succ[p][j] for p in state)) for j in range(k)]
 
     def final(state: frozenset[int]) -> bool:
         return not last.isdisjoint(state) or (nullable and start in state)
 
-    return dfa_minimize(_crawl(alphabet, frozenset({start}), step, final))
+    return dfa_minimize(_crawl(alphabet, frozenset({start}), successors, final))

@@ -26,7 +26,7 @@ from .automata import (
     letter_dfa,
     universal_dfa,
 )
-from .errors import MAX_NESTING, AlphabetError, ParseError
+from .errors import MAX_NESTING, AlphabetError, ParseError, SfreeError
 
 
 class SfExpr:
@@ -263,7 +263,7 @@ def simplify(e: SfExpr, *, alphabet: Alphabet | None = None, verify: bool = Fals
     X; unions drop Empty operands and duplicates; concatenations with Empty
     collapse to Empty and Epsilon factors are dropped.  With ``verify`` set
     (requires ``alphabet``), the result is checked language-equal to the
-    input by DFA equivalence."""
+    input by DFA equivalence, and a mismatch raises :class:`SfreeError`."""
     memo: dict[SfExpr, SfExpr] = {}
 
     def go(n: SfExpr) -> SfExpr:
@@ -309,9 +309,8 @@ def simplify(e: SfExpr, *, alphabet: Alphabet | None = None, verify: bool = Fals
     if verify:
         if alphabet is None:
             raise ValueError("verification requires an alphabet")
-        assert dfa_equivalent(
-            eval_expr(e, alphabet), eval_expr(result, alphabet)
-        ), "simplify changed the language"
+        if not dfa_equivalent(eval_expr(e, alphabet), eval_expr(result, alphabet)):
+            raise SfreeError("simplify changed the language")
     return result
 
 

@@ -25,18 +25,19 @@ from functools import reduce
 from typing import Callable
 
 from .automata import Alphabet, Dfa, dfa_minimize
-from .errors import AlphabetError, MonoidError, NonAperiodicError
+from .errors import AlphabetError, MonoidError, NonAperiodicError, SfreeError
 from .monoid import (
     DEFAULT_MONOID_CAP,
     AperiodicityWitness,
     Homomorphism,
     LocalDivisor,
     _first_periodic,
+    _psi,
     _transformations,
+    _transition_table,
     image_submonoid,
     is_aperiodic,
     local_divisor,
-    transition_monoid,
 )
 from .sfexpr import (
     ALL,
@@ -225,9 +226,8 @@ def _synthesize(
     depth: int,
 ) -> SfExpr:
     measure = (h.monoid.size, len(h.alphabet))
-    assert bound is None or measure < bound, (
-        f"recursion measure violation: {measure} not below {bound}"
-    )
+    if bound is not None and measure >= bound:
+        raise MonoidError(f"recursion measure violation: {measure} not below {bound}")
     key = (h.key(), p)
     cached = ctx.memo.get(key)
     if cached is not None:
@@ -249,13 +249,11 @@ def _synthesize(
         pc = h.letter_image[c_pos]
         sub = h.alphabet.without(c)
         h_sub = h.restrict(sub)
-        reachable = image_submonoid(h, sub)
+        reachable = h_sub.image
 
         ld = ctx.local_divisor_at(monoid, pc)
         tokens = Alphabet(tuple(element_token(t) for t in reachable))
-        psi_images = tuple(
-            ld.from_base(monoid.mul(monoid.mul(pc, t), pc)) for t in reachable
-        )
+        psi_images = tuple(ld.from_base(_psi(monoid, pc, t)) for t in reachable)
         h_tokens = Homomorphism(tokens, ld.divisor, psi_images)
 
         def synth_sub(q: int) -> SfExpr:
@@ -317,9 +315,10 @@ class StarFreenessVerdict:
     accept_elements: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.star_free == (self.witness is None) == (
+        if not self.star_free == (self.witness is None) == (
             self.expressions is not None
-        ), "inconsistent verdict"
+        ):
+            raise SfreeError("inconsistent verdict")
 
     def language_expression(self) -> SfExpr:
         """Union of the per-element expressions (Empty for the empty language)."""
@@ -346,16 +345,16 @@ def decide_star_free(
     minimal = dfa_minimize(d)
     elems, accept = _transformations(minimal, max_monoid)
     witness = _first_periodic(elems)
+    elements = tuple(sorted(accept))
     if witness is not None:
         return StarFreenessVerdict(
             star_free=False,
             monoid_size=len(elems),
             witness=witness,
             expressions=None,
-            accept_elements=tuple(sorted(accept)),
+            accept_elements=elements,
         )
-    monoid, hom, accept = transition_monoid(minimal, max_size=max_monoid)
-    elements = tuple(sorted(accept))
+    hom = _transition_table(minimal, elems)
     ctx = SynthesisContext(max_monoid=max_monoid)
     expressions = []
     for p in elements:
@@ -365,7 +364,7 @@ def decide_star_free(
         expressions.append(e)
     return StarFreenessVerdict(
         star_free=True,
-        monoid_size=monoid.size,
+        monoid_size=len(elems),
         witness=None,
         expressions=tuple(expressions),
         accept_elements=elements,
@@ -401,8 +400,7 @@ def commuting_diagram_check(h: Homomorphism, c: str, word) -> bool:
     ld = local_divisor(monoid, pc)
     acc = ld.divisor.identity
     for block in blocks:
-        t = h.evaluate(block)
-        acc = ld.divisor.mul(acc, ld.from_base(monoid.mul(monoid.mul(pc, t), pc)))
+        acc = ld.divisor.mul(acc, ld.from_base(_psi(monoid, pc, h.evaluate(block))))
     via_tokens = ld.to_base(acc)
 
     direct = h.evaluate((c,) + word)

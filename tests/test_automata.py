@@ -18,6 +18,7 @@ from sfree.automata import (
     load_dfa,
     save_dfa,
     universal_dfa,
+    words,
 )
 from sfree.errors import AlphabetError, MonoidError, ParseError
 from sfree.monoid import FiniteMonoid, Homomorphism
@@ -64,6 +65,12 @@ class TestAcceptance:
 
     def test_enumerate_empty(self):
         assert enumerate_members(empty_dfa(AB), 5) == []
+
+    def test_words_shortest_first_in_declared_letter_order(self):
+        assert list(words(Alphabet.of("ba"), 2)) == [
+            (), ("b",), ("a",), ("b", "b"), ("b", "a"), ("a", "b"), ("a", "a"),
+        ]
+        assert list(words(AB, 0)) == [()]
 
 
 class TestMinimize:

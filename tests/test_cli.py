@@ -231,6 +231,21 @@ class TestDeepInputs:
         code, _, err = run(capsys, "bound", "--expr", expr_file)
         assert code == 2 and err.startswith("error: parse:")
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("bound",), " . ".join(["a"] * 3000)),
+            (("verify", "--regex", "(a|b)*"), " . ".join(["ALL"] * 3000)),
+            (("verify", "--regex", "a", "--alphabet", "ab"), " | ".join(["a"] * 3000)),
+        ],
+        ids=["bound-concat", "verify-concat", "verify-union"],
+    )
+    def test_long_flat_chain_is_an_input_error(self, capsys, tmp_path, argv, text):
+        expr_file = write(tmp_path, "flat.txt", text)
+        code, out, err = run(capsys, *argv, "--expr", expr_file)
+        assert code == 2 and out == ""
+        assert err.startswith("error: depth:") and err.count("\n") == 1
+
 
 class TestParserReuse:
     """The argument parser is built once per process; no call may see state

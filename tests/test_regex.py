@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import APERIODIC_CORPUS, NON_APERIODIC, naive_match, words_upto
 from sfree import regex as rx
-from sfree.automata import Alphabet, Dfa, dfa_equivalent, universal_dfa
+from sfree.automata import Alphabet, Dfa, dfa_equivalent, dfa_minimize, universal_dfa
 from sfree.errors import MAX_NESTING, ParseError
 from sfree.regex import parse_regex, regex_to_dfa, render_regex
 
@@ -67,6 +67,7 @@ class TestCompile:
         ast = parse_regex("(ab)*", AB)
         d = regex_to_dfa(ast, AB)
         assert d.n_states == 3
+        assert dfa_minimize(d) is d  # already minimal: returned unchanged
         for w in words_upto("ab", 6):
             assert d.accepts(w) == naive_match(ast, w)
 

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import sfree
 
 from corpus import APERIODIC_CORPUS, NON_APERIODIC, corpus_dfa, words_upto
 from sfree.automata import (
@@ -15,6 +20,7 @@ from sfree.errors import AlphabetError, MonoidError, NonAperiodicError
 from sfree.monoid import (
     FiniteMonoid,
     Homomorphism,
+    _transformations,
     image_submonoid,
     local_divisor,
     transition_monoid,
@@ -289,6 +295,36 @@ class TestDecide:
         bloated = Dfa(AB, ((1, 2), (3, 0), (2, 2), (3, 3)), 0, frozenset({0}))
         verdict = decide_star_free(bloated)
         assert verdict.star_free and verdict.monoid_size == 6
+
+    def test_monoid_enumerated_once(self, monkeypatch):
+        calls = []
+
+        def counting(d, max_size):
+            calls.append(d)
+            return _transformations(d, max_size)
+
+        monkeypatch.setattr(sfree.monoid, "_transformations", counting)
+        monkeypatch.setattr(sfree.synthesis, "_transformations", counting)
+        d, _ = corpus_dfa("(ab)*", "ab")
+        assert decide_star_free(d).star_free
+        assert len(calls) == 1
+
+    def test_inconsistent_verdict_raises_under_optimization(self):
+        # an assert would vanish under python -O; the check must not
+        script = (
+            "from sfree import SfreeError, StarFreenessVerdict\n"
+            "try:\n"
+            "    StarFreenessVerdict(True, 1, None, None, ())\n"
+            "except SfreeError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sfree.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout == "inconsistent verdict\n"
 
 
 def random_block_word(rng, sub_letters, c, max_len):
