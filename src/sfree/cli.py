@@ -53,6 +53,16 @@ class _SpecAction(argparse.Action):
         specs.append((self.dest, values))
 
 
+def _monoid_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @functools.cache
 def _parser() -> _Parser:
     """The argument parser, built on first use and kept for the process."""
@@ -77,14 +87,13 @@ def _parser() -> _Parser:
     p = sub.add_parser("analyze", help="decide star-freeness")
     add_language_source(p, with_monoid=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-monoid", type=int, default=DEFAULT_MONOID_CAP)
+    p.add_argument("--max-monoid", type=_monoid_cap, default=DEFAULT_MONOID_CAP)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="produce a star-free expression")
     add_language_source(p)
-    p.add_argument("--no-simplify", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-monoid", type=int, default=DEFAULT_MONOID_CAP)
+    p.add_argument("--max-monoid", type=_monoid_cap, default=DEFAULT_MONOID_CAP)
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("verify", help="check a language against an expression file")
@@ -239,9 +248,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     d = _load_language(args)
-    verdict = decide_star_free(
-        d, max_monoid=args.max_monoid, simplify_output=not args.no_simplify
-    )
+    verdict = decide_star_free(d, max_monoid=args.max_monoid)
     if not verdict.star_free:
         if args.json:
             _report_json(verdict.monoid_size, verdict.witness)

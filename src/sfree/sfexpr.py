@@ -123,28 +123,44 @@ def expr_letters(e: SfExpr) -> frozenset[str]:
     return frozenset(letters)
 
 
+def _fold(e: SfExpr, leaf, node=None):
+    """The one memoized bottom-up walk over an expression.
+
+    Atoms map to ``leaf(n)``; a binary node maps to ``node(n, left, right)``
+    on its children's results, or, when ``node`` is omitted, is rebuilt as
+    ``n.__class__(left, right)``.  Each distinct subtree (by structural
+    equality) is visited once, so shared DAGs cost their size, not their
+    tree size."""
+    memo: dict = {}
+
+    def go(n):
+        out = memo.get(n)
+        if out is None:
+            if isinstance(n, (Union, Difference, Concat)):
+                left, right = go(n.left), go(n.right)
+                out = n.__class__(left, right) if node is None else node(n, left, right)
+            else:
+                out = leaf(n)
+            memo[n] = out
+        return out
+
+    return go(e)
+
+
 def desugar(e: SfExpr, alphabet: Alphabet) -> SfExpr:
     """Rewrite Empty/Epsilon into the five core constructors."""
     empty_core = Difference(ALL, ALL)
     nonempty = [Concat(Concat(ALL, Letter(a)), ALL) for a in alphabet]
     epsilon_core = Difference(ALL, reduce(Union, nonempty) if nonempty else empty_core)
-    memo: dict[SfExpr, SfExpr] = {}
 
-    def go(n: SfExpr) -> SfExpr:
-        out = memo.get(n)
-        if out is None:
-            if isinstance(n, Empty):
-                out = empty_core
-            elif isinstance(n, Epsilon):
-                out = epsilon_core
-            elif isinstance(n, (Union, Difference, Concat)):
-                out = n.__class__(go(n.left), go(n.right))
-            else:
-                out = n
-            memo[n] = out
-        return out
+    def leaf(n: SfExpr) -> SfExpr:
+        if isinstance(n, Empty):
+            return empty_core
+        if isinstance(n, Epsilon):
+            return epsilon_core
+        return n
 
-    return go(e)
+    return _fold(e, leaf)
 
 
 def eval_expr(e: SfExpr, alphabet: Alphabet) -> Dfa:
@@ -152,97 +168,26 @@ def eval_expr(e: SfExpr, alphabet: Alphabet) -> Dfa:
 
     Sugar nodes are mapped directly to their languages (the desugared forms
     evaluate to the same languages; tests assert this)."""
-    memo: dict[SfExpr, Dfa] = {}
 
-    def go(n: SfExpr) -> Dfa:
-        out = memo.get(n)
-        if out is None:
-            if isinstance(n, All):
-                out = universal_dfa(alphabet)
-            elif isinstance(n, Empty):
-                out = empty_dfa(alphabet)
-            elif isinstance(n, Epsilon):
-                out = epsilon_dfa(alphabet)
-            elif isinstance(n, Letter):
-                out = letter_dfa(alphabet, n.symbol)
-            elif isinstance(n, Union):
-                out = dfa_combine("union", go(n.left), go(n.right))
-            elif isinstance(n, Difference):
-                out = dfa_combine("difference", go(n.left), go(n.right))
-            elif isinstance(n, Concat):
-                out = dfa_combine("concatenation", go(n.left), go(n.right))
-            else:
-                raise TypeError(f"not an expression node: {n!r}")
-            memo[n] = out
-        return out
+    def leaf(n: SfExpr) -> Dfa:
+        if isinstance(n, All):
+            return universal_dfa(alphabet)
+        if isinstance(n, Empty):
+            return empty_dfa(alphabet)
+        if isinstance(n, Epsilon):
+            return epsilon_dfa(alphabet)
+        if isinstance(n, Letter):
+            return letter_dfa(alphabet, n.symbol)
+        raise TypeError(f"not an expression node: {n!r}")
 
-    return go(e)
+    def node(n: SfExpr, left: Dfa, right: Dfa) -> Dfa:
+        if isinstance(n, Union):
+            return dfa_combine("union", left, right)
+        if isinstance(n, Difference):
+            return dfa_combine("difference", left, right)
+        return dfa_combine("concatenation", left, right)
 
-
-def n_bound(e: SfExpr) -> int:
-    """Pumping threshold: with n = n_bound(e), membership of p u^k q in the
-    denoted language is the same for every k >= n.
-
-    Computed by the recursion n(All) = 0, n(letter) = 2, max over union and
-    difference, and n(K.K') = n(K) + n(K') + 1, applied to the desugared
-    tree (so Empty contributes 0 and Epsilon 4)."""
-    memo: dict[SfExpr, int] = {}
-
-    def go(n: SfExpr) -> int:
-        out = memo.get(n)
-        if out is None:
-            if isinstance(n, (All, Empty)):
-                out = 0
-            elif isinstance(n, Letter):
-                out = 2
-            elif isinstance(n, Epsilon):
-                out = 4
-            elif isinstance(n, (Union, Difference)):
-                out = max(go(n.left), go(n.right))
-            elif isinstance(n, Concat):
-                out = go(n.left) + go(n.right) + 1
-            else:
-                raise TypeError(f"not an expression node: {n!r}")
-            memo[n] = out
-        return out
-
-    return go(e)
-
-
-def node_count(e: SfExpr) -> int:
-    """Number of nodes of the expression read as a tree."""
-    memo: dict[SfExpr, int] = {}
-
-    def go(n: SfExpr) -> int:
-        out = memo.get(n)
-        if out is None:
-            if isinstance(n, (Union, Difference, Concat)):
-                out = 1 + go(n.left) + go(n.right)
-            else:
-                out = 1
-            memo[n] = out
-        return out
-
-    return go(e)
-
-
-def concat_depth(e: SfExpr) -> int:
-    """Maximum nesting depth of concatenation nodes."""
-    memo: dict[SfExpr, int] = {}
-
-    def go(n: SfExpr) -> int:
-        out = memo.get(n)
-        if out is None:
-            if isinstance(n, Concat):
-                out = 1 + max(go(n.left), go(n.right))
-            elif isinstance(n, (Union, Difference)):
-                out = max(go(n.left), go(n.right))
-            else:
-                out = 0
-            memo[n] = out
-        return out
-
-    return go(e)
+    return _fold(e, leaf, node)
 
 
 @dataclass(frozen=True)
@@ -253,7 +198,39 @@ class SfMetrics:
 
 
 def metrics(e: SfExpr) -> SfMetrics:
-    return SfMetrics(node_count(e), concat_depth(e), n_bound(e))
+    """Size measures of the expression, in one walk: nodes of the expression
+    read as a tree, maximum nesting depth of concatenation nodes, and the
+    pumping threshold :func:`n_bound`."""
+
+    def leaf(n: SfExpr) -> tuple[int, int, int]:
+        if isinstance(n, (All, Empty)):
+            return 1, 0, 0
+        if isinstance(n, Letter):
+            return 1, 0, 2
+        if isinstance(n, Epsilon):
+            return 1, 0, 4
+        raise TypeError(f"not an expression node: {n!r}")
+
+    def node(n: SfExpr, left: tuple, right: tuple) -> tuple[int, int, int]:
+        if isinstance(n, Concat):
+            return (
+                1 + left[0] + right[0],
+                1 + max(left[1], right[1]),
+                left[2] + right[2] + 1,
+            )
+        return 1 + left[0] + right[0], max(left[1], right[1]), max(left[2], right[2])
+
+    return SfMetrics(*_fold(e, leaf, node))
+
+
+def n_bound(e: SfExpr) -> int:
+    """Pumping threshold: with n = n_bound(e), membership of p u^k q in the
+    denoted language is the same for every k >= n.
+
+    Computed by the recursion n(All) = 0, n(letter) = 2, max over union and
+    difference, and n(K.K') = n(K) + n(K') + 1, applied to the desugared
+    tree (so Empty contributes 0 and Epsilon 4)."""
+    return metrics(e).n_bound
 
 
 def simplify(e: SfExpr, *, alphabet: Alphabet | None = None, verify: bool = False) -> SfExpr:
@@ -264,48 +241,29 @@ def simplify(e: SfExpr, *, alphabet: Alphabet | None = None, verify: bool = Fals
     collapse to Empty and Epsilon factors are dropped.  With ``verify`` set
     (requires ``alphabet``), the result is checked language-equal to the
     input by DFA equivalence, and a mismatch raises :class:`SfreeError`."""
-    memo: dict[SfExpr, SfExpr] = {}
 
-    def go(n: SfExpr) -> SfExpr:
-        out = memo.get(n)
-        if out is not None:
-            return out
+    def node(n: SfExpr, left: SfExpr, right: SfExpr) -> SfExpr:
         if isinstance(n, Union):
-            left, right = go(n.left), go(n.right)
             if isinstance(left, Empty):
-                out = right
-            elif isinstance(right, Empty):
-                out = left
-            elif left == right:
-                out = left
-            else:
-                out = Union(left, right)
-        elif isinstance(n, Difference):
-            left, right = go(n.left), go(n.right)
-            if isinstance(left, Empty):
-                out = EMPTY
-            elif isinstance(right, Empty):
-                out = left
-            elif left == right:
-                out = EMPTY
-            else:
-                out = Difference(left, right)
-        elif isinstance(n, Concat):
-            left, right = go(n.left), go(n.right)
-            if isinstance(left, Empty) or isinstance(right, Empty):
-                out = EMPTY
-            elif isinstance(left, Epsilon):
-                out = right
-            elif isinstance(right, Epsilon):
-                out = left
-            else:
-                out = Concat(left, right)
-        else:
-            out = n
-        memo[n] = out
-        return out
+                return right
+            if isinstance(right, Empty) or left == right:
+                return left
+            return Union(left, right)
+        if isinstance(n, Difference):
+            if isinstance(left, Empty) or left == right:
+                return EMPTY
+            if isinstance(right, Empty):
+                return left
+            return Difference(left, right)
+        if isinstance(left, Empty) or isinstance(right, Empty):
+            return EMPTY
+        if isinstance(left, Epsilon):
+            return right
+        if isinstance(right, Epsilon):
+            return left
+        return Concat(left, right)
 
-    result = go(e)
+    result = _fold(e, lambda n: n, node)
     if verify:
         if alphabet is None:
             raise ValueError("verification requires an alphabet")
@@ -457,39 +415,30 @@ def render_expr(e: SfExpr) -> str:
 
     Parentheses are emitted whenever same-precedence operators mix, so the
     output is unambiguous to a reader as well as to the parser."""
-    memo: dict[SfExpr, tuple[str, int]] = {}
 
-    def go(n: SfExpr) -> tuple[str, int]:
+    def leaf(n: SfExpr) -> tuple[str, int]:
         # precedence: 3 atom, 2 concat, 1 union/difference
-        out = memo.get(n)
-        if out is not None:
-            return out
         if isinstance(n, All):
-            out = "ALL", 3
-        elif isinstance(n, Empty):
-            out = "EMPTY", 3
-        elif isinstance(n, Epsilon):
-            out = "EPS", 3
-        elif isinstance(n, Letter):
-            out = _render_letter(n.symbol), 3
-        elif isinstance(n, Concat):
-            lt, lp = go(n.left)
-            rt, rp = go(n.right)
+            return "ALL", 3
+        if isinstance(n, Empty):
+            return "EMPTY", 3
+        if isinstance(n, Epsilon):
+            return "EPS", 3
+        return _render_letter(n.symbol), 3
+
+    def node(n: SfExpr, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
+        (lt, lp), (rt, rp) = left, right
+        if isinstance(n, Concat):
             if lp < 2:
                 lt = f"({lt})"
             if rp < 2 or isinstance(n.right, Concat):
                 rt = f"({rt})"
-            out = f"{lt} . {rt}", 2
-        else:
-            op = " | " if isinstance(n, Union) else " \\ "
-            lt, lp = go(n.left)
-            rt, rp = go(n.right)
-            if lp == 1 and n.left.__class__ is not n.__class__:
-                lt = f"({lt})"
-            if rp == 1:
-                rt = f"({rt})"
-            out = f"{lt}{op}{rt}", 1
-        memo[n] = out
-        return out
+            return f"{lt} . {rt}", 2
+        op = " | " if isinstance(n, Union) else " \\ "
+        if lp == 1 and n.left.__class__ is not n.__class__:
+            lt = f"({lt})"
+        if rp == 1:
+            rt = f"({rt})"
+        return f"{lt}{op}{rt}", 1
 
-    return go(e)[0]
+    return _fold(e, leaf, node)[0]

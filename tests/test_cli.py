@@ -113,20 +113,18 @@ class TestSynthesize:
         assert code == 1
         assert "no expression" in out
 
-    def test_no_simplify_flag(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "synthesize", "--regex", "(ab)*", "--no-simplify", "--json"
-        )
-        assert code == 0
-        expr_file = write(tmp_path, "raw.txt", json.loads(out)["expression"])
-        code, _, _ = run(capsys, "verify", "--regex", "(ab)*", "--expr", expr_file)
-        assert code == 0
-
     def test_monoid_cap(self, capsys):
         code, _, err = run(
             capsys, "synthesize", "--regex", "(ab)*", "--max-monoid", "3"
         )
         assert code == 2 and err.startswith("error: monoid-cap:")
+
+    @pytest.mark.parametrize("command", ["analyze", "synthesize"])
+    @pytest.mark.parametrize("regex", ["(a|b)*", "ab"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_monoid_cap_below_one_is_a_usage_error(self, capsys, command, regex, cap):
+        code, out, err = run(capsys, command, "--regex", regex, "--max-monoid", cap)
+        assert code == 2 and out == "" and err.startswith("error: usage:")
 
 
 class TestVerify:

@@ -19,13 +19,11 @@ from sfree.sfexpr import (
     Difference,
     Letter,
     Union,
-    concat_depth,
     desugar,
     eval_expr,
     expr_letters,
     metrics,
     n_bound,
-    node_count,
     parse_expr,
     render_expr,
     simplify,
@@ -128,9 +126,9 @@ class TestBound:
 class TestMetrics:
     def test_counts(self):
         e = Union(Letter("a"), Difference(ALL, Letter("b")))
-        assert node_count(e) == 5
-        assert concat_depth(e) == 0
-        assert concat_depth(Concat(Concat(Letter("a"), Letter("b")), Letter("a"))) == 2
+        m = metrics(e)
+        assert (m.node_count, m.concat_depth) == (5, 0)
+        assert metrics(Concat(Concat(Letter("a"), Letter("b")), Letter("a"))).concat_depth == 2
 
     def test_metrics_bundle(self):
         m = metrics(Concat(Letter("a"), Letter("b")))
@@ -225,6 +223,48 @@ expressions = st.recursive(
 @given(expressions)
 def test_round_trip_random(e):
     assert parse_expr(render_expr(e)) == e
+
+
+def _copy(e):
+    """A structurally equal expression that shares no node with ``e``."""
+    if isinstance(e, (Union, Difference, Concat)):
+        return e.__class__(_copy(e.left), _copy(e.right))
+    return Letter(e.symbol) if isinstance(e, Letter) else e.__class__()
+
+
+@st.composite
+def shared_expressions(draw):
+    """Expressions built bottom-up from a growing pool, so subtrees recur,
+    some as the same object and some as structurally equal copies."""
+    pool = draw(st.lists(tokens, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 12))):
+        op = draw(st.sampled_from([Union, Difference, Concat]))
+        left, right = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            right = _copy(right)
+        pool.append(op(left, right))
+    return pool[-1]
+
+
+def tree_metrics(e):
+    """Reference by plain tree recursion: (tree nodes, concat depth, n_bound)."""
+    if isinstance(e, (Union, Difference, Concat)):
+        ln, ld, lb = tree_metrics(e.left)
+        rn, rd, rb = tree_metrics(e.right)
+        if isinstance(e, Concat):
+            return 1 + ln + rn, 1 + max(ld, rd), lb + rb + 1
+        return 1 + ln + rn, max(ld, rd), max(lb, rb)
+    if isinstance(e, Letter):
+        return 1, 0, 2
+    return 1, 0, 4 if e == EPSILON else 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_expressions())
+def test_metrics_match_tree_recursion(e):
+    m = metrics(e)
+    assert (m.node_count, m.concat_depth, m.n_bound) == tree_metrics(e)
+    assert n_bound(e) == m.n_bound
 
 
 @settings(max_examples=40, deadline=None)

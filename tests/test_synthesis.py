@@ -35,6 +35,7 @@ from sfree.sfexpr import (
     Letter,
     Union,
     eval_expr,
+    simplify,
 )
 from sfree.synthesis import (
     SynthesisContext,
@@ -214,8 +215,10 @@ class TestSynthesize:
         for p in sorted(accept):
             synthesize(hom, p, context=ctx)
         assert ctx.calls > 0 and ctx.peak_depth >= 2
-        assert len(ctx.trace) <= 200
-        for sub_hom, target, expr in ctx.trace:
+        assert len(ctx.memo) <= 200
+        for (key, target), expr in ctx.memo.items():
+            (table, identity), letters, images = key
+            sub_hom = Homomorphism(Alphabet(letters), FiniteMonoid(table, identity), images)
             got = eval_expr(expr, sub_hom.alphabet)
             want = dfa_from_homomorphism(sub_hom, {target})
             assert dfa_equivalent(got, want)
@@ -283,10 +286,14 @@ class TestDecide:
         assert verdict.star_free and verdict.monoid_size == 6
         assert dfa_equivalent(eval_expr(verdict.language_expression(), AB), d)
 
-    def test_simplify_opt_out(self):
-        d, _ = corpus_dfa("(ab)*", "ab")
-        raw = decide_star_free(d, simplify_output=False)
-        assert dfa_equivalent(eval_expr(raw.language_expression(), AB), d)
+    def test_simplify_rewrites_nothing_in_synthesis_output(self):
+        # decide_star_free keeps the pass only for the sharing it creates
+        for name, pattern, letters in APERIODIC_CORPUS:
+            d, _ = corpus_dfa(pattern, letters)
+            _, hom, accept = transition_monoid(d)
+            for p in sorted(accept):
+                e = synthesize(hom, p)
+                assert simplify(e) == e, (name, p)
 
     def test_accepts_non_minimal_input(self):
         # decide minimizes internally
