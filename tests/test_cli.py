@@ -113,6 +113,13 @@ class TestSynthesize:
         assert code == 1
         assert "no expression" in out
 
+    def test_no_simplify_flag(self, capsys):
+        # the flag is removed: simplify always runs, so it is a usage error
+        code, out, err = run(
+            capsys, "synthesize", "--regex", "(ab)*", "--no-simplify", "--json"
+        )
+        assert code == 2 and out == "" and err.startswith("error: usage:")
+
     def test_monoid_cap(self, capsys):
         code, _, err = run(
             capsys, "synthesize", "--regex", "(ab)*", "--max-monoid", "3"

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 
@@ -285,6 +286,15 @@ class TestDecide:
         verdict = decide_star_free(d)
         assert verdict.star_free and verdict.monoid_size == 6
         assert dfa_equivalent(eval_expr(verdict.language_expression(), AB), d)
+
+    def test_simplify_opt_out(self):
+        # the opt-out is gone; the unsimplified union still denotes the language
+        d, _ = corpus_dfa("(ab)*", "ab")
+        with pytest.raises(TypeError):
+            decide_star_free(d, simplify_output=False)
+        _, hom, accept = transition_monoid(dfa_minimize(d))
+        raw = reduce(Union, (synthesize(hom, p) for p in sorted(accept)))
+        assert dfa_equivalent(eval_expr(raw, AB), d)
 
     def test_simplify_rewrites_nothing_in_synthesis_output(self):
         # decide_star_free keeps the pass only for the sharing it creates
