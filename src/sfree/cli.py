@@ -136,12 +136,13 @@ def _read_text(path: str) -> str:
 
 def _load_expr_dfa(path: str, declared: str | None) -> Dfa:
     text = _read_text(path)
-    expr = parse_expr(text, None)
     if declared is not None:
         alphabet = Alphabet.of(declared)
+        expr = parse_expr(text, alphabet)
     else:
+        expr = parse_expr(text, None)
         alphabet = Alphabet(tuple(sorted(expr_letters(expr))))
-    return eval_expr(parse_expr(text, alphabet), alphabet)
+    return eval_expr(expr, alphabet)
 
 
 def _load_language(args) -> Dfa:

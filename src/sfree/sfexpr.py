@@ -13,6 +13,7 @@ alphabets and for alphabets of monoid-element tokens.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from functools import reduce
 
@@ -20,13 +21,12 @@ from .automata import (
     Alphabet,
     Dfa,
     dfa_combine,
-    dfa_equivalent,
     empty_dfa,
     epsilon_dfa,
     letter_dfa,
     universal_dfa,
 )
-from .errors import MAX_NESTING, AlphabetError, ParseError, SfreeError
+from .errors import MAX_NESTING, AlphabetError, ParseError
 
 
 class SfExpr:
@@ -233,14 +233,12 @@ def n_bound(e: SfExpr) -> int:
     return metrics(e).n_bound
 
 
-def simplify(e: SfExpr, *, alphabet: Alphabet | None = None, verify: bool = False) -> SfExpr:
+def simplify(e: SfExpr) -> SfExpr:
     """Language-preserving local rewrites for output size control.
 
     Applied bottom-up: X \\ X and Empty \\ X collapse to Empty, X \\ Empty to
     X; unions drop Empty operands and duplicates; concatenations with Empty
-    collapse to Empty and Epsilon factors are dropped.  With ``verify`` set
-    (requires ``alphabet``), the result is checked language-equal to the
-    input by DFA equivalence, and a mismatch raises :class:`SfreeError`."""
+    collapse to Empty and Epsilon factors are dropped."""
 
     def node(n: SfExpr, left: SfExpr, right: SfExpr) -> SfExpr:
         if isinstance(n, Union):
@@ -263,13 +261,7 @@ def simplify(e: SfExpr, *, alphabet: Alphabet | None = None, verify: bool = Fals
             return left
         return Concat(left, right)
 
-    result = _fold(e, lambda n: n, node)
-    if verify:
-        if alphabet is None:
-            raise ValueError("verification requires an alphabet")
-        if not dfa_equivalent(eval_expr(e, alphabet), eval_expr(result, alphabet)):
-            raise SfreeError("simplify changed the language")
-    return result
+    return _fold(e, lambda n: n, node)
 
 
 # ---------------------------------------------------------------------------
@@ -280,119 +272,110 @@ def simplify(e: SfExpr, *, alphabet: Alphabet | None = None, verify: bool = Fals
 _KEYWORDS = {"ALL": ALL, "EMPTY": EMPTY, "EPS": EPSILON}
 _PUNCT = ".\\|()"
 
+# After optional whitespace, one token: punctuation, a quoted letter (group 4
+# is empty when the closing quote is missing), a word, or any other character.
+# ``\w`` and ``\s`` match exactly ``isalnum() or "_"`` and ``isspace()``; the
+# last branch is ``\S``, not ``.``, so trailing whitespace is not a token.
+_TOKEN = re.compile(r"\s*(([.\\|()])|'([^']*)('?)|(\w+)|(\S))")
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            out.append(("punct", ch, i))
-            i += 1
-            continue
-        if ch == "'":
-            j = text.find("'", i + 1)
-            if j < 0:
-                raise ParseError("unterminated quoted letter", i)
-            tok = text[i + 1 : j]
-            if not tok:
-                raise ParseError("empty quoted letter", i)
-            out.append(("letter", tok, i))
-            i = j + 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+
+def _scan(text: str):
+    """Yield ``(kind, value, position)`` tokens, raising on the first bad one."""
+    for m in _TOKEN.finditer(text):
+        punct, quoted, closed, word, other = m.group(2, 3, 4, 5, 6)
+        pos = m.start(1)
+        if punct:
+            yield "punct", punct, pos
+        elif quoted is not None:
+            if not closed:
+                raise ParseError("unterminated quoted letter", pos)
+            if not quoted:
+                raise ParseError("empty quoted letter", pos)
+            yield "letter", quoted, pos
+        elif word:
             if word in _KEYWORDS:
-                out.append(("keyword", word, i))
+                yield "keyword", word, pos
             elif len(word) == 1:
-                out.append(("letter", word, i))
+                yield "letter", word, pos
             else:
-                raise ParseError(
-                    f"multi-character letter {word!r} must be quoted", i
-                )
-            i = j
-            continue
-        if ch.isprintable():
-            out.append(("letter", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return out
+                raise ParseError(f"multi-character letter {word!r} must be quoted", pos)
+        elif other.isprintable():
+            yield "letter", other, pos
+        else:
+            raise ParseError(f"unexpected character {other!r}", pos)
 
 
 def parse_expr(text: str, alphabet: Alphabet | None = None) -> SfExpr:
     """Parse the textual grammar; with an alphabet, letters are validated.
 
+    Equal subexpressions come back as one object, so the result is the
+    maximally shared DAG of the text and walks over it cost its DAG size.
     Parentheses may nest at most ``MAX_NESTING`` levels deep; deeper input
-    raises :class:`ParseError`."""
-    toks = _tokenize(text)
-    k = 0
+    raises :class:`ParseError`.  Of several errors, the leftmost is raised."""
+    tokens = _scan(text)
+    end = (None, None, len(text))
+    tok = next(tokens, end)
     depth = 0
+    # children are shared before their parent is built, so keying a node by
+    # its children's identities finds every equal subexpression at once
+    nodes: dict = {}
 
-    def peek():
-        return toks[k] if k < len(toks) else None
+    def build(cls, left: SfExpr, right: SfExpr) -> SfExpr:
+        key = (cls, id(left), id(right))
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = cls(left, right)
+        return node
+
+    def at(punct: str) -> bool:
+        return tok[1] == punct and tok[0] == "punct"
 
     def parse_atom() -> SfExpr:
-        nonlocal k, depth
-        tok = peek()
-        if tok is None:
-            raise ParseError("expected an expression, found end of input", len(text))
+        nonlocal tok, depth
         kind, val, pos = tok
-        if kind == "punct" and val == "(":
-            if depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nest deeper than {MAX_NESTING} levels", pos
-                )
-            depth += 1
-            k += 1
-            node = parse_sum()
-            tok = peek()
-            if tok is None or tok[1] != ")":
-                raise ParseError("expected ')'", tok[2] if tok else len(text))
-            k += 1
-            depth -= 1
-            return node
-        if kind == "keyword":
-            k += 1
-            return _KEYWORDS[val]
         if kind == "letter":
             if alphabet is not None and val not in alphabet:
                 raise ParseError(f"letter {val!r} not in alphabet", pos)
-            k += 1
-            return Letter(val)
-        raise ParseError(f"unexpected {val!r}", pos)
+            node = nodes.get(val)
+            if node is None:
+                node = nodes[val] = Letter(val)
+        elif kind == "keyword":
+            node = _KEYWORDS[val]
+        elif val == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", pos)
+            depth += 1
+            tok = next(tokens, end)
+            node = parse_sum()
+            if not at(")"):
+                raise ParseError("expected ')'", tok[2])
+            depth -= 1
+        elif kind is None:
+            raise ParseError("expected an expression, found end of input", pos)
+        else:
+            raise ParseError(f"unexpected {val!r}", pos)
+        tok = next(tokens, end)
+        return node
 
     def parse_term() -> SfExpr:
-        nonlocal k
+        nonlocal tok
         node = parse_atom()
-        while True:
-            tok = peek()
-            if tok is None or tok[1] != ".":
-                return node
-            k += 1
-            node = Concat(node, parse_atom())
+        while at("."):
+            tok = next(tokens, end)
+            node = build(Concat, node, parse_atom())
+        return node
 
     def parse_sum() -> SfExpr:
-        nonlocal k
+        nonlocal tok
         node = parse_term()
-        while True:
-            tok = peek()
-            if tok is None or tok[1] not in ("|", "\\"):
-                return node
-            k += 1
-            right = parse_term()
-            node = Union(node, right) if tok[1] == "|" else Difference(node, right)
+        while at("|") or at("\\"):
+            cls = Union if tok[1] == "|" else Difference
+            tok = next(tokens, end)
+            node = build(cls, node, parse_term())
+        return node
 
     node = parse_sum()
-    tok = peek()
-    if tok is not None:
+    if tok[0] is not None:
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])
     return node
 

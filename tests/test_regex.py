@@ -146,3 +146,18 @@ def test_compile_agrees_with_naive_matcher(ast):
     d = regex_to_dfa(ast, AB)
     for w in words_upto("ab", 4):
         assert d.accepts(w) == naive_match(ast, w)
+
+
+# the grammar's characters, quotes, whitespace, and characters that are
+# alphanumeric, unprintable or whitespace outside ASCII
+REGEX_CHARS = "|*()_#abc' \t\n\x1c\x00é٣\u2028"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=REGEX_CHARS, max_size=30))
+def test_parse_regex_returns_or_raises_parse_error(text):
+    try:
+        result = parse_regex(text, AB)
+    except ParseError:
+        return
+    assert isinstance(result, rx.Regex)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import words_upto
+from corpus import APERIODIC_CORPUS, words_upto
 from sfree import sfexpr as sf
 from sfree.automata import (
     Alphabet,
@@ -28,6 +28,7 @@ from sfree.sfexpr import (
     render_expr,
     simplify,
 )
+from sfree.synthesis import decide_star_free
 
 AB = Alphabet.of("ab")
 A1 = Alphabet.of("a")
@@ -179,6 +180,46 @@ class TestRenderParse:
         with pytest.raises(ParseError):
             parse_expr("a b", AB)
 
+    def test_leftmost_error_wins(self):
+        with pytest.raises(ParseError, match="unexpected 'b'") as err:
+            parse_expr("a b 'm3")
+        assert err.value.position == 2
+
+    def test_quoted_punctuation_is_a_letter_not_an_operator(self):
+        assert parse_expr("'|' | ')'") == Union(Letter("|"), Letter(")"))
+        for text in ("a '|' b", "a '.' b", "(a')'"):
+            with pytest.raises(ParseError) as err:
+                parse_expr(text)
+            assert err.value.position == 2
+
+
+def _subterms(e):
+    """Every node reachable from ``e``, once per object."""
+    seen, stack = {}, [e]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            if isinstance(n, (Union, Difference, Concat)):
+                stack += [n.left, n.right]
+    return list(seen.values())
+
+
+class TestParseSharing:
+    def test_equal_subexpressions_are_one_object(self):
+        e = parse_expr("a . b | a . b")
+        assert isinstance(e, Union) and e.left is e.right
+
+    def test_parsed_synthesis_output_is_maximally_shared(self):
+        for name, pattern, letters in APERIODIC_CORPUS:
+            alphabet = Alphabet.of(letters)
+            d = regex_to_dfa(parse_regex(pattern, alphabet), alphabet)
+            expected = decide_star_free(d).language_expression()
+            parsed = parse_expr(render_expr(expected), alphabet)
+            assert parsed == expected, name
+            nodes = _subterms(parsed)
+            assert len(nodes) == len(set(nodes)), name
+
 
 class TestSimplify:
     def test_listed_rewrites(self):
@@ -197,12 +238,8 @@ class TestSimplify:
 
     def test_language_preserved_on_corpus(self):
         for e in EXPR_CORPUS:
-            s = simplify(e, alphabet=AB, verify=True)
+            s = simplify(e)
             assert dfa_equivalent(eval_expr(e, AB), eval_expr(s, AB))
-
-    def test_verify_needs_alphabet(self):
-        with pytest.raises(ValueError):
-            simplify(ALL, verify=True)
 
 
 tokens = st.sampled_from(
@@ -279,3 +316,20 @@ def test_simplify_preserves_language_random(e):
 def test_desugaring_preserves_language_random(e):
     bound = Alphabet.of(["a", "b", "m10"])
     assert dfa_equivalent(eval_expr(e, bound), eval_expr(desugar(e, bound), bound))
+
+
+# the grammar's characters and words, quotes, whitespace, and characters that
+# are alphanumeric, unprintable or whitespace outside ASCII
+EXPR_PIECES = [".", "\\", "|", "(", ")", "'", "a", "b", "m3", "_", "ALL", "EMPTY",
+               "EPS", " ", "\t", "\n", "\x1c", "\x00", "é", "٣", "\u2028"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(EXPR_PIECES), max_size=30).map("".join),
+       st.sampled_from([None, AB]))
+def test_parse_expr_returns_or_raises_parse_error(text, alphabet):
+    try:
+        result = parse_expr(text, alphabet)
+    except ParseError:
+        return
+    assert isinstance(result, sf.SfExpr)
