@@ -30,7 +30,6 @@ from .errors import (
     MonoidError,
     MonoidSizeError,
     NonAperiodicError,
-    NotMinimalError,
     ParseError,
     SfreeError,
 )

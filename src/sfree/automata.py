@@ -11,7 +11,6 @@ so everything may be shared freely between concurrent tasks.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -199,23 +198,10 @@ def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:
 
 
 def dfa_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """True iff both DFAs accept the same language (product reachability of a
-    distinguishing state pair)."""
+    """True iff both DFAs accept the same language, that is iff their
+    canonical minimal DFAs are equal."""
     _require_same_alphabet(d1, d2)
-    k = len(d1.alphabet)
-    start = (d1.initial, d2.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        s, t = queue.popleft()
-        if (s in d1.accepting) != (t in d2.accepting):
-            return False
-        for j in range(k):
-            nxt = (d1.transitions[s][j], d2.transitions[t][j])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+    return dfa_minimize(d1) == dfa_minimize(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +365,11 @@ def dfa_to_dict(d: Dfa) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int other than a bool (``bool`` subclasses ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def dfa_from_dict(obj) -> Dfa:
     if not isinstance(obj, dict):
         raise ParseError("DFA file must contain a JSON object")
@@ -391,21 +382,28 @@ def dfa_from_dict(obj) -> Dfa:
     alphabet = Alphabet(tuple(letters))
     m = obj["states"]
     delta = obj["delta"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ParseError("'states' must be a positive integer")
     if not isinstance(delta, list) or len(delta) != m:
         raise ParseError(f"'delta' must list one row per state ({m} rows)")
     for s, row in enumerate(delta):
         if not isinstance(row, list) or len(row) != len(letters):
             raise ParseError(f"'delta' row {s} is not total over the alphabet")
+        if not all(map(_is_int, row)):
+            raise ParseError(f"'delta' row {s} holds a successor that is not an integer")
+    if not _is_int(obj["initial"]):
+        raise ParseError("'initial' must be an integer")
+    accepting = obj["accepting"]
+    if not isinstance(accepting, list) or not all(map(_is_int, accepting)):
+        raise ParseError("'accepting' must be a list of integers")
     try:
         return Dfa(
             alphabet,
             tuple(tuple(row) for row in delta),
             obj["initial"],
-            frozenset(obj["accepting"]),
+            frozenset(accepting),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"invalid DFA object: {exc}") from exc
 
 
@@ -413,8 +411,8 @@ def load_dfa(path) -> Dfa:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in DFA file: {exc}") from exc
+        except ValueError as exc:  # undecodable bytes, bad JSON, or an overlong number
+            raise ParseError(f"DFA file is not UTF-8 JSON: {exc}") from exc
     return dfa_from_dict(obj)
 
 

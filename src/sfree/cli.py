@@ -131,7 +131,10 @@ def _regex_alphabet(pattern: str, declared: str | None) -> Alphabet:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_expr_dfa(path: str, declared: str | None) -> Dfa:

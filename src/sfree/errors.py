@@ -47,12 +47,6 @@ class MonoidSizeError(MonoidError):
     code = "monoid-cap"
 
 
-class NotMinimalError(SfreeError, ValueError):
-    """Operation requires a minimal DFA but received a non-minimal one."""
-
-    code = "not-minimal"
-
-
 class NonAperiodicError(SfreeError, ValueError):
     """Synthesis requested for a monoid that is not aperiodic."""
 

@@ -12,7 +12,7 @@ from math import lcm
 from typing import Iterable
 
 from .automata import Alphabet, Dfa, dfa_minimize
-from .errors import MonoidError, MonoidSizeError, NotMinimalError, ParseError
+from .errors import MonoidError, MonoidSizeError, ParseError
 
 #: Synthesis blows up quickly; anything bigger than this needs an explicit
 #: opt-in from the caller.
@@ -227,23 +227,19 @@ def _transformations(d: Dfa, max_size: int) -> tuple[list[tuple[int, ...]], froz
 
 
 def transition_monoid(d: Dfa, max_size: int = DEFAULT_MONOID_CAP):
-    """Transition monoid of a minimal complete DFA.
+    """Transition monoid of the minimal DFA of ``d``'s language.
 
-    Elements are the distinct state transformations generated by the letter
-    actions under composition, discovered breadth-first from the identity
-    transformation with letters in alphabet order (so element 0 is the
-    identity).  Returns ``(monoid, hom, accept_elements)`` where ``hom`` maps
-    each letter to its transformation and ``accept_elements`` is the set of
-    elements whose transformation sends the initial state into an accepting
-    one.  For a minimal DFA this realizes the syntactic monoid and syntactic
-    morphism, and ``accept_elements`` is the image of the language.
+    ``d`` is minimized first.  Elements are the distinct state
+    transformations generated by the letter actions under composition,
+    discovered breadth-first from the identity transformation with letters
+    in alphabet order (so element 0 is the identity).  Returns ``(monoid,
+    hom, accept_elements)`` where ``hom`` maps each letter to its
+    transformation and ``accept_elements`` is the set of elements whose
+    transformation sends the initial state into an accepting one.  This
+    realizes the syntactic monoid and syntactic morphism, and
+    ``accept_elements`` is the image of the language.
     """
-    minimal_states = dfa_minimize(d).n_states
-    if minimal_states != d.n_states:
-        raise NotMinimalError(
-            f"transition monoid requires a minimal DFA "
-            f"({d.n_states} states, minimal has {minimal_states})"
-        )
+    d = dfa_minimize(d)
     elems, accept = _transformations(d, max_size)
     hom = _transition_table(d, elems)
     return hom.monoid, hom, accept
@@ -315,7 +311,7 @@ def transition_aperiodicity(
     is aperiodic iff no element's functional graph has a cycle of length
     >= 2, and the first element that has one is the witness, so the result
     equals ``(monoid.size, is_aperiodic(monoid))`` for ``monoid`` the first
-    component of ``transition_monoid(dfa_minimize(d))``.  Raises
+    component of ``transition_monoid(d)``.  Raises
     :class:`MonoidSizeError` past ``max_size``."""
     elems, _ = _transformations(dfa_minimize(d), max_size)
     return len(elems), _first_periodic(elems)

@@ -7,6 +7,8 @@ so it can cross-check the automata constructions.
 
 from itertools import product
 
+from hypothesis import strategies as st
+
 from sfree import regex as rx
 from sfree.automata import Alphabet
 from sfree.regex import parse_regex, regex_to_dfa
@@ -81,3 +83,45 @@ def naive_match(node, word):
         raise TypeError(node)
     _MATCH_CACHE[key] = out
     return out
+
+
+# JSON-shaped values for fuzzing the DFA file format, with the format's keys
+# common among the object keys
+DFA_KEYS = ("alphabet", "states", "initial", "accepting", "delta")
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-1, 3) | st.integers() | st.floats()
+    | st.text(max_size=3)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(DFA_KEYS) | st.text(max_size=3), inner, max_size=6),
+    max_leaves=12,
+)
+
+
+@st.composite
+def perturbed_dfa_objects(draw):
+    """A well-formed DFA object over ``ab`` with one field, or one entry of
+    a list field or of a ``delta`` row, replaced by an arbitrary JSON value."""
+    m = draw(st.integers(1, 3))
+    obj = {
+        "alphabet": ["a", "b"],
+        "states": m,
+        "initial": draw(st.integers(0, m - 1)),
+        "accepting": sorted(draw(st.frozensets(st.integers(0, m - 1)))),
+        "delta": [[draw(st.integers(0, m - 1)) for _ in "ab"] for _ in range(m)],
+    }
+    key = draw(st.sampled_from(DFA_KEYS))
+    value = draw(json_scalars | json_values)
+    target = obj[key]
+    if key == "delta" and draw(st.booleans()):
+        target = draw(st.sampled_from(target))
+    if isinstance(target, list) and target and draw(st.booleans()):
+        target[draw(st.integers(0, len(target) - 1))] = value
+    else:
+        obj[key] = value
+    return obj
+
+
+dfa_objects = json_values | perturbed_dfa_objects()

@@ -1,10 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from corpus import APERIODIC_CORPUS, NON_APERIODIC
+from corpus import APERIODIC_CORPUS, NON_APERIODIC, dfa_objects
 from sfree import cli
-from sfree.automata import Alphabet, save_dfa
+from sfree.automata import Alphabet, dfa_to_dict, save_dfa
 from sfree.cli import run_cli
 from sfree.monoid import FiniteMonoid, format_monoid_table
 from sfree.regex import parse_regex, regex_to_dfa
@@ -250,6 +251,94 @@ class TestDeepInputs:
         code, out, err = run(capsys, *argv, "--expr", expr_file)
         assert code == 2 and out == ""
         assert err.startswith("error: depth:") and err.count("\n") == 1
+
+
+UNDECODABLE = b"\xff\xfe(a\x80 not UTF-8\n"
+
+
+def assert_exit_contract(code, out, err):
+    """A verdict (0 or 1) with nothing on stderr, or an input error (2) with
+    nothing on stdout and one ``error:`` line on stderr."""
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and err == ""
+
+
+class TestMalformedFiles:
+    """A file that cannot be read as the input it should be is an input error
+    (exit 2), never a traceback or a verdict."""
+
+    @staticmethod
+    def assert_parse_error(code, out, err):
+        assert code == 2 and out == ""
+        assert err.startswith("error: parse:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--dfa"),
+            ("analyze", "--monoid"),
+            ("synthesize", "--dfa"),
+            ("verify", "--regex", "a", "--expr"),
+            ("bound", "--expr"),
+            ("oracle", "--regex", "a", "--expr"),
+            ("oracle", "--regex", "a", "--dfa"),
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "a"),
+    )
+    def test_undecodable_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "input"
+        path.write_bytes(UNDECODABLE)
+        self.assert_parse_error(*run(capsys, *argv, str(path)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("states", True),
+            ("initial", 0.0),
+            ("initial", True),
+            ("accepting", [1.5]),
+            ("accepting", [False]),
+            ("accepting", "0"),
+            ("delta", [[1, 2], [2, True], [2, 2]]),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "synthesize"])
+    def test_non_integer_state(self, capsys, tmp_path, command, field, value):
+        alphabet = Alphabet.of("ab")
+        obj = dfa_to_dict(regex_to_dfa(parse_regex("(ab)*", alphabet), alphabet))
+        obj[field] = value
+        path = write(tmp_path, "d.json", json.dumps(obj))
+        self.assert_parse_error(*run(capsys, command, "--dfa", path))
+
+
+# monoid-table-shaped text: lines of small numbers and a few bad tokens
+_table_texts = st.lists(
+    st.lists(st.integers(-1, 3).map(str) | st.sampled_from(["x", "1.5", "٣"]), max_size=4)
+    .map(" ".join),
+    max_size=5,
+).map("\n".join)
+_FUZZ = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FUZZ
+@given(st.binary(max_size=64) | _table_texts.map(str.encode))
+def test_analyze_monoid_file_keeps_exit_contract(capsys, tmp_path, data):
+    path = tmp_path / "table.txt"
+    path.write_bytes(data)
+    assert_exit_contract(*run(capsys, "analyze", "--monoid", str(path)))
+
+
+@_FUZZ
+@given(st.binary(max_size=64) | dfa_objects.map(lambda obj: json.dumps(obj).encode()))
+def test_analyze_dfa_file_keeps_exit_contract(capsys, tmp_path, data):
+    path = tmp_path / "d.json"
+    path.write_bytes(data)
+    assert_exit_contract(*run(capsys, "analyze", "--dfa", str(path)))
 
 
 class TestParserReuse:

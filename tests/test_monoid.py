@@ -13,7 +13,6 @@ from sfree.errors import (
     AlphabetError,
     MonoidError,
     MonoidSizeError,
-    NotMinimalError,
     ParseError,
 )
 from sfree.monoid import (
@@ -108,10 +107,15 @@ class TestTransitionMonoid:
             monoid, hom, accept = transition_monoid(d)
             assert dfa_equivalent(dfa_from_homomorphism(hom, accept), d)
 
-    def test_rejects_non_minimal_input(self):
+    def test_non_minimal_input_is_minimized(self):
         d = Dfa(AB, ((1, 2), (3, 0), (2, 2), (3, 3)), 0, frozenset({0}))
-        with pytest.raises(NotMinimalError):
-            transition_monoid(d)
+        minimal = dfa_minimize(d)
+        assert minimal.n_states < d.n_states
+        monoid, hom, accept = transition_monoid(d)
+        assert (monoid, hom, accept) == transition_monoid(minimal)
+        # oracle: the images of the accepted words, and (ab)*'s six elements
+        assert monoid.size == 6
+        assert accept == {hom.evaluate(w) for w in words_upto("ab", 6) if d.accepts(w)}
 
     def test_size_cap(self):
         d, _ = corpus_dfa("(ab)*", "ab")
@@ -158,7 +162,7 @@ def count_mod(k):
 def assert_table_free_matches(d, max_size=64):
     """The table-free test agrees with is_aperiodic on the table, witness
     included, and the witness holds in the table."""
-    monoid, _, _ = transition_monoid(dfa_minimize(d), max_size=max_size)
+    monoid, _, _ = transition_monoid(d, max_size=max_size)
     witness = is_aperiodic(monoid)
     assert transition_aperiodicity(d, max_size=max_size) == (monoid.size, witness)
     assert witness is None or witness.holds_in(monoid)
