@@ -108,11 +108,11 @@ class Dfa:
             for t in row:
                 if not isinstance(t, int) or not 0 <= t < m:
                     raise ValueError(f"state {s}: successor {t!r} out of range")
-        if not 0 <= self.initial < m:
-            raise ValueError(f"initial state {self.initial} out of range")
+        if not _is_int(self.initial) or not 0 <= self.initial < m:
+            raise ValueError(f"initial state {self.initial!r} is not one of 0..{m - 1}")
         for s in self.accepting:
-            if not 0 <= s < m:
-                raise ValueError(f"accepting state {s} out of range")
+            if not _is_int(s) or not 0 <= s < m:
+                raise ValueError(f"accepting state {s!r} is not one of 0..{m - 1}")
 
     @property
     def n_states(self) -> int:

@@ -53,14 +53,19 @@ class _SpecAction(argparse.Action):
         specs.append((self.dest, values))
 
 
-def _monoid_cap(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 @functools.cache
@@ -68,6 +73,7 @@ def _parser() -> _Parser:
     """The argument parser, built on first use and kept for the process."""
     parser = _Parser(prog="sfree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    monoid_cap = _at_least(1)
 
     def add_language_source(p, with_monoid=False):
         p.add_argument("--regex", help="regular expression for the input language")
@@ -87,13 +93,13 @@ def _parser() -> _Parser:
     p = sub.add_parser("analyze", help="decide star-freeness")
     add_language_source(p, with_monoid=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-monoid", type=_monoid_cap, default=DEFAULT_MONOID_CAP)
+    p.add_argument("--max-monoid", type=monoid_cap, default=DEFAULT_MONOID_CAP)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="produce a star-free expression")
     add_language_source(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-monoid", type=_monoid_cap, default=DEFAULT_MONOID_CAP)
+    p.add_argument("--max-monoid", type=monoid_cap, default=DEFAULT_MONOID_CAP)
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("verify", help="check a language against an expression file")
@@ -112,7 +118,7 @@ def _parser() -> _Parser:
     p.add_argument("--dfa", action=_SpecAction, help="language given by a DFA file")
     p.add_argument("--expr", action=_SpecAction, help="language given by an expression file")
     p.add_argument("--alphabet", help="shared alphabet for regex/expression specs")
-    p.add_argument("--maxlen", type=int, default=WORD_LIMIT_DEFAULT)
+    p.add_argument("--maxlen", type=_at_least(0), default=WORD_LIMIT_DEFAULT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

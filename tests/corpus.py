@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sfree import regex as rx
 from sfree.automata import Alphabet
 from sfree.regex import parse_regex, regex_to_dfa
+from sfree.sfexpr import Concat, Difference, Union
 
 # name, pattern, alphabet letters.  All syntactic monoids have size <= 10.
 APERIODIC_CORPUS = [
@@ -38,6 +39,18 @@ NON_APERIODIC = [
 def corpus_dfa(pattern, letters):
     alphabet = Alphabet.of(letters)
     return regex_to_dfa(parse_regex(pattern, alphabet), alphabet), alphabet
+
+
+def subterms(*roots):
+    """Every node reachable from the roots, once per object."""
+    seen, stack = {}, list(roots)
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            if isinstance(n, (Union, Difference, Concat)):
+                stack += [n.left, n.right]
+    return list(seen.values())
 
 
 def words_upto(letters, maxlen):

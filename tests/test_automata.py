@@ -48,6 +48,25 @@ class TestAlphabet:
             Alphabet(("",))
 
 
+class TestDfaConstruction:
+    # a bool is an int to Python, but not a state number
+    @pytest.mark.parametrize("state", [0.0, 1.5, True])
+    def test_non_int_initial_rejected(self, state):
+        with pytest.raises(ValueError):
+            Dfa(AB, ((1, 1), (1, 1)), state, frozenset({1}))
+
+    @pytest.mark.parametrize("state", [0.0, 1.5, True])
+    def test_non_int_accepting_entry_rejected(self, state):
+        with pytest.raises(ValueError):
+            Dfa(AB, ((1, 1), (1, 1)), 0, frozenset({state}))
+
+    def test_float_initial_in_a_file_is_a_parse_error(self):
+        obj = dfa_to_dict(ab_star_dfa())
+        obj["initial"] = 0.0
+        with pytest.raises(ParseError, match="'initial' must be an integer"):
+            dfa_from_dict(obj)
+
+
 class TestAcceptance:
     def test_ab_star_walk(self):
         d = ab_star_dfa()

@@ -219,6 +219,23 @@ class TestOracle:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("maxlen", ["-1", "-5"])
+    def test_negative_maxlen_is_a_usage_error(self, capsys, maxlen):
+        # the two languages differ, so a silent "agree" would be wrong
+        code, out, err = run(
+            capsys, "oracle", "--regex", "a", "--regex", "b",
+            "--alphabet", "ab", "--maxlen", maxlen,
+        )
+        assert code == 2 and out == "" and err.startswith("error: usage:")
+        assert len(err.splitlines()) == 1
+
+    def test_zero_maxlen_compares_the_empty_word(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "--regex", "a", "--regex", "b",
+            "--alphabet", "ab", "--maxlen", "0",
+        )
+        assert code == 0 and out == "agree: no disagreement up to length 0\n"
+
 
 class TestDeepInputs:
     """Inputs nested past the interpreter's recursion limit keep the exit-code

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import APERIODIC_CORPUS, words_upto
+from corpus import APERIODIC_CORPUS, subterms, words_upto
 from sfree import sfexpr as sf
 from sfree.automata import (
     Alphabet,
@@ -193,18 +193,6 @@ class TestRenderParse:
             assert err.value.position == 2
 
 
-def _subterms(e):
-    """Every node reachable from ``e``, once per object."""
-    seen, stack = {}, [e]
-    while stack:
-        n = stack.pop()
-        if id(n) not in seen:
-            seen[id(n)] = n
-            if isinstance(n, (Union, Difference, Concat)):
-                stack += [n.left, n.right]
-    return list(seen.values())
-
-
 class TestParseSharing:
     def test_equal_subexpressions_are_one_object(self):
         e = parse_expr("a . b | a . b")
@@ -217,7 +205,7 @@ class TestParseSharing:
             expected = decide_star_free(d).language_expression()
             parsed = parse_expr(render_expr(expected), alphabet)
             assert parsed == expected, name
-            nodes = _subterms(parsed)
+            nodes = subterms(parsed)
             assert len(nodes) == len(set(nodes)), name
 
 

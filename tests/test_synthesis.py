@@ -304,6 +304,15 @@ class TestDecide:
                 e = synthesize(hom, p)
                 assert simplify(e) == e, (name, p)
 
+    def test_expressions_are_the_synthesized_ones(self):
+        for name, pattern, letters in APERIODIC_CORPUS:
+            d, _ = corpus_dfa(pattern, letters)
+            _, hom, accept = transition_monoid(d)
+            verdict = decide_star_free(d)
+            assert verdict.accept_elements == tuple(sorted(accept)), name
+            for p, e in zip(verdict.accept_elements, verdict.expressions):
+                assert e == synthesize(hom, p), (name, p)
+
     def test_accepts_non_minimal_input(self):
         # decide minimizes internally
         from sfree.automata import Dfa
