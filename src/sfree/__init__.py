@@ -43,13 +43,12 @@ from .monoid import (
     is_aperiodic,
     local_divisor,
     parse_monoid_table,
-    psi_image,
     transition_aperiodicity,
     transition_monoid,
     unit_factorization_check,
     validate_monoid,
 )
-from .regex import parse_regex, regex_to_dfa, render_regex
+from .regex import parse_regex, regex_to_dfa
 from .sfexpr import (
     SfExpr,
     SfMetrics,

@@ -106,7 +106,7 @@ class Dfa:
                     f"state {s}: transition row has {len(row)} entries, expected {k}"
                 )
             for t in row:
-                if not isinstance(t, int) or not 0 <= t < m:
+                if type(t) is not int or not 0 <= t < m:  # _is_int, inlined: hot path
                     raise ValueError(f"state {s}: successor {t!r} out of range")
         if not _is_int(self.initial) or not 0 <= self.initial < m:
             raise ValueError(f"initial state {self.initial!r} is not one of 0..{m - 1}")
@@ -251,30 +251,25 @@ def _product(d1: Dfa, d2: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
 
 
 def _concatenate(d1: Dfa, d2: Dfa) -> Dfa:
-    # Epsilon-free nondeterministic composition, determinized on the fly.
-    # A tracked state (0, s) lives in d1; whenever it hits an accepting state
-    # of d1 we additionally spawn (1, d2.initial).
-    start = {(0, d1.initial)}
-    if d1.initial in d1.accepting:
-        start.add((1, d2.initial))
+    # Subset construction on the fly.  A state is the pair (state of d1, set
+    # of d2 states): d1 reads the whole word so far, and d2 reads each suffix
+    # that starts where a prefix was accepted by d1.
+    t1, t2, acc1, i2 = d1.transitions, d2.transitions, d1.accepting, d2.initial
 
-    def successors(states):
-        for j in range(len(d1.alphabet)):
-            nxt = set()
-            for tag, s in states:
-                if tag == 0:
-                    t = d1.transitions[s][j]
-                    nxt.add((0, t))
-                    if t in d1.accepting:
-                        nxt.add((1, d2.initial))
-                else:
-                    nxt.add((1, d2.transitions[s][j]))
-            yield frozenset(nxt)
+    def enter(s, tracked):
+        return (s, tracked | {i2}) if s in acc1 else (s, tracked)
 
-    def final(states):
-        return any(tag == 1 and s in d2.accepting for tag, s in states)
+    def successors(state):
+        s, tracked = state
+        for j, t in enumerate(t1[s]):
+            yield enter(t, frozenset(t2[q][j] for q in tracked))
 
-    return _crawl(d1.alphabet, frozenset(start), successors, final)
+    return _crawl(
+        d1.alphabet,
+        enter(d1.initial, frozenset()),
+        successors,
+        lambda state: not d2.accepting.isdisjoint(state[1]),
+    )
 
 
 def dfa_combine(kind: str, d1: Dfa, d2: Dfa) -> Dfa:
@@ -366,8 +361,9 @@ def dfa_to_dict(d: Dfa) -> dict:
 
 
 def _is_int(value) -> bool:
-    """Whether ``value`` is an int other than a bool (``bool`` subclasses ``int``)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether ``value`` may serve as an index: an int, and not a bool
+    (``bool`` subclasses ``int``)."""
+    return type(value) is int
 
 
 def dfa_from_dict(obj) -> Dfa:

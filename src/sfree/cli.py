@@ -13,12 +13,13 @@ Exit codes: 0 star-free / equivalent / agreement, 1 the negative outcome,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 
 from .automata import Alphabet, Dfa, dfa_equivalent, load_dfa, words
-from .errors import AlphabetError, MonoidSizeError, ParseError, SfreeError
+from .errors import AlphabetError, ParseError, SfreeError
 from .monoid import (
     DEFAULT_MONOID_CAP,
     Homomorphism,
@@ -40,17 +41,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-class _SpecAction(argparse.Action):
-    """Collect (kind, value) pairs in command-line order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        specs = getattr(namespace, "specs", None)
-        if specs is None:
-            specs = []
-            setattr(namespace, "specs", specs)
-        specs.append((self.dest, values))
 
 
 def _at_least(minimum: int):
@@ -114,9 +104,16 @@ def _parser() -> _Parser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("oracle", help="compare two language specs word by word")
-    p.add_argument("--regex", action=_SpecAction, help="language given by a regex")
-    p.add_argument("--dfa", action=_SpecAction, help="language given by a DFA file")
-    p.add_argument("--expr", action=_SpecAction, help="language given by an expression file")
+    sources = {"regex": "a regex", "dfa": "a DFA file", "expr": "an expression file"}
+    for kind, what in sources.items():
+        p.add_argument(
+            f"--{kind}",
+            action="append",
+            dest="specs",
+            type=lambda value, kind=kind: (kind, value),
+            metavar=kind.upper(),
+            help=f"language given by {what}",
+        )
     p.add_argument("--alphabet", help="shared alphabet for regex/expression specs")
     p.add_argument("--maxlen", type=_at_least(0), default=WORD_LIMIT_DEFAULT)
     p.add_argument("--json", action="store_true")
@@ -213,13 +210,7 @@ def _report_json(size, witness, expression=None, expr_metrics=None):
         "monoid_size": size,
         "witness": _witness_dict(witness),
         "expression": expression,
-        "metrics": None
-        if expr_metrics is None
-        else {
-            "node_count": expr_metrics.node_count,
-            "concat_depth": expr_metrics.concat_depth,
-            "n_bound": expr_metrics.n_bound,
-        },
+        "metrics": None if expr_metrics is None else dataclasses.asdict(expr_metrics),
     }
     print(json.dumps(obj))
 
@@ -232,11 +223,7 @@ def _cmd_analyze(args) -> int:
     if getattr(args, "monoid", None) is not None:
         if args.regex is not None or args.dfa is not None:
             raise _UsageError("--monoid cannot be combined with --regex/--dfa")
-        monoid = parse_monoid_table(_read_text(args.monoid))
-        if monoid.size > args.max_monoid:
-            raise MonoidSizeError(
-                f"monoid size {monoid.size} exceeds the cap {args.max_monoid}"
-            )
+        monoid = parse_monoid_table(_read_text(args.monoid), max_size=args.max_monoid)
         if args.letters is not None:
             _parse_letter_map(args.letters, monoid)  # validation only
         witness = is_aperiodic(monoid)
@@ -308,7 +295,7 @@ def _format_word(word: tuple[str, ...]) -> str:
 
 
 def _cmd_oracle(args) -> int:
-    specs = getattr(args, "specs", None) or []
+    specs = args.specs or []
     if len(specs) != 2:
         raise _UsageError("oracle needs exactly two language specs")
     dfas = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable
 
-from .automata import Alphabet, Dfa, dfa_minimize
+from .automata import Alphabet, Dfa, _is_int, dfa_minimize
 from .errors import MonoidError, MonoidSizeError, ParseError
 
 #: Synthesis blows up quickly; anything bigger than this needs an explicit
@@ -40,10 +40,10 @@ class FiniteMonoid:
             if len(row) != n:
                 raise MonoidError(f"row {x} has {len(row)} entries, expected {n}")
             for y in row:
-                if not isinstance(y, int) or not 0 <= y < n:
+                if type(y) is not int or not 0 <= y < n:  # _is_int, inlined: hot path
                     raise MonoidError(f"entry {y!r} in row {x} out of range")
         e = self.identity
-        if not isinstance(e, int) or not 0 <= e < n:
+        if not _is_int(e) or not 0 <= e < n:
             raise MonoidError(f"identity index {e!r} out of range")
         for x in range(n):
             if self.table[e][x] != x or self.table[x][e] != x:
@@ -113,17 +113,10 @@ def is_aperiodic(monoid: FiniteMonoid) -> AperiodicityWitness | None:
     n = monoid.size
     for x in range(n):
         if monoid.power(x, n) != monoid.power(x, n + 1):
-            first: dict[int, int] = {}
-            p, e = x, 1
-            while p not in first:
-                first[p] = e
-                p = monoid.mul(p, x)
-                e += 1
-            k = first[p]
-            d = e - k
-            if d < 2:
-                raise MonoidError("period 1 contradicts the power test")
-            return AperiodicityWitness(element=x, index=k, period=d)
+            # y -> y*x is faithful (it sends the identity to x), so the
+            # powers of x repeat exactly as those of this map do
+            index, period = _power_shape(tuple(row[x] for row in monoid.table))
+            return AperiodicityWitness(element=x, index=index, period=period)
     return None
 
 
@@ -157,7 +150,7 @@ class Homomorphism:
                 f"{len(self.alphabet)} letters"
             )
         for img in self.letter_image:
-            if not isinstance(img, int) or not 0 <= img < self.monoid.size:
+            if not _is_int(img) or not 0 <= img < self.monoid.size:
                 raise MonoidError(f"letter image {img!r} out of range")
         object.__setattr__(self, "image", _closure(self.monoid, self.letter_image))
 
@@ -357,7 +350,7 @@ def local_divisor(monoid: FiniteMonoid, c: int) -> LocalDivisor:
     identity.
     """
     n = monoid.size
-    if not 0 <= c < n:
+    if not _is_int(c) or not 0 <= c < n:
         raise MonoidError(f"element {c!r} out of range")
     cM = {monoid.mul(c, y) for y in range(n)}
     Mc = {monoid.mul(x, c) for x in range(n)}
@@ -393,25 +386,6 @@ def local_divisor(monoid: FiniteMonoid, c: int) -> LocalDivisor:
     return LocalDivisor(base=monoid, c=c, carrier=carrier, divisor=divisor)
 
 
-def psi_image(h: Homomorphism, c: str, t: int) -> int:
-    """Image of ``t`` under the map sending each element of the image
-    submonoid over the reduced alphabet (without letter ``c``) to
-    ``phi(c) * t * phi(c)``.
-
-    The result is a base-monoid element lying in the carrier of the local
-    divisor at ``phi(c)``; it equals the image of ``c v c`` for every word
-    ``v`` over the reduced alphabet that maps to ``t``, so no such word is
-    ever materialized."""
-    pc = h.image_of(c)
-    sub = image_submonoid(h, h.alphabet.without(c))
-    if t not in sub:
-        raise MonoidError(
-            f"element {t} is outside the image submonoid over the alphabet "
-            f"without {c!r}"
-        )
-    return _psi(h.monoid, pc, t)
-
-
 def _psi(monoid: FiniteMonoid, c: int, t: int) -> int:
     """``c * t * c``, the element that a block with image ``t`` stands for in
     the local divisor at ``c``, with no check that ``t`` may occur there."""
@@ -422,7 +396,11 @@ def _psi(monoid: FiniteMonoid, c: int, t: int) -> int:
 # text file format: first line "n identity", then n rows of n indices
 
 
-def parse_monoid_table(text: str) -> FiniteMonoid:
+def parse_monoid_table(text: str, max_size: int = DEFAULT_MONOID_CAP) -> FiniteMonoid:
+    """The monoid of a table file, after a full check of the monoid laws.
+
+    Raises :class:`MonoidSizeError` for a table of more than ``max_size``
+    elements once its rows are read, before the O(n^3) associativity check."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty monoid table")
@@ -444,6 +422,8 @@ def parse_monoid_table(text: str) -> FiniteMonoid:
         if len(row) != n:
             raise ParseError(f"row {ln!r} has {len(row)} entries, expected {n}")
         rows.append(row)
+    if n > max_size:
+        raise MonoidSizeError(f"monoid size {n} exceeds the cap {max_size}")
     return validate_monoid(tuple(rows), identity)
 
 

@@ -1,4 +1,4 @@
-"""Regular-expression front end: parsing, rendering, DFA compilation.
+"""Regular-expression front end: parsing and DFA compilation.
 
 Grammar: single-character letters from the declared alphabet, ``_`` for the
 empty word, ``#`` for the empty set, juxtaposition for concatenation, ``|``
@@ -125,41 +125,6 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     if i != n:
         raise ParseError(f"unexpected {text[i]!r}", i)
     return node
-
-
-def render_regex(r: Regex) -> str:
-    """Text form that re-parses to a structurally identical AST."""
-
-    def go(node: Regex) -> tuple[str, int]:
-        # precedence: 4 atom, 3 star, 2 concat, 1 union
-        if isinstance(node, Empty):
-            return "#", 4
-        if isinstance(node, Epsilon):
-            return "_", 4
-        if isinstance(node, Letter):
-            return node.letter, 4
-        if isinstance(node, Star):
-            t, p = go(node.inner)
-            if p < 3:
-                t = f"({t})"
-            return t + "*", 3
-        if isinstance(node, Concat):
-            lt, lp = go(node.left)
-            rt, rp = go(node.right)
-            if lp < 2:
-                lt = f"({lt})"
-            if rp < 2 or isinstance(node.right, Concat):
-                rt = f"({rt})"
-            return lt + rt, 2
-        if isinstance(node, Union):
-            lt, _ = go(node.left)
-            rt, rp = go(node.right)
-            if rp <= 1:
-                rt = f"({rt})"
-            return f"{lt}|{rt}", 1
-        raise TypeError(f"not a regex node: {node!r}")
-
-    return go(r)[0]
 
 
 def _positions(r: Regex, alphabet: Alphabet):

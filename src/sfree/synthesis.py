@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable
 
-from .automata import Alphabet, Dfa, dfa_minimize
+from .automata import Alphabet, Dfa, _is_int, dfa_minimize
 from .errors import AlphabetError, MonoidError, NonAperiodicError, SfreeError
 from .monoid import (
     DEFAULT_MONOID_CAP,
@@ -188,7 +188,7 @@ def synthesize(h: Homomorphism, p: int, *, context: SynthesisContext | None = No
             f"monoid is not aperiodic: element {witness.element} has "
             f"period {witness.period} from power {witness.index}"
         )
-    if not 0 <= p < h.monoid.size:
+    if not _is_int(p) or not 0 <= p < h.monoid.size:
         raise MonoidError(f"target {p!r} is not a monoid element")
     return _synthesize(ctx, h, p, None, 1)
 

@@ -60,6 +60,11 @@ class TestDfaConstruction:
         with pytest.raises(ValueError):
             Dfa(AB, ((1, 1), (1, 1)), 0, frozenset({state}))
 
+    @pytest.mark.parametrize("state", [0.0, 1.5, True])
+    def test_non_int_successor_rejected(self, state):
+        with pytest.raises(ValueError):
+            Dfa(AB, ((1, state), (1, 1)), 0, frozenset({1}))
+
     def test_float_initial_in_a_file_is_a_parse_error(self):
         obj = dfa_to_dict(ab_star_dfa())
         obj["initial"] = 0.0

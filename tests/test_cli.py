@@ -79,6 +79,22 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--monoid", table, "--letters", "a=9")
         assert code == 2 and "error:" in err
 
+    def test_table_over_the_cap_is_refused_before_associativity(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # x*y = max(x, y): checking associativity of 600 elements takes seconds
+        n = 600
+        rows = (" ".join(str(max(x, y)) for y in range(n)) for x in range(n))
+        table = write(tmp_path, "big.txt", f"{n} 0\n" + "\n".join(rows) + "\n")
+
+        def validate_monoid(*args):
+            raise AssertionError("the laws were checked before the size")
+
+        monkeypatch.setattr("sfree.monoid.validate_monoid", validate_monoid)
+        code, out, err = run(capsys, "analyze", "--monoid", table)
+        assert code == 2 and out == ""
+        assert err == "error: monoid-cap: monoid size 600 exceeds the cap 64\n"
+
     def test_input_error_is_machine_parsable(self, capsys):
         code, _, err = run(capsys, "analyze", "--regex", "a|")
         assert code == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,12 +21,12 @@ from sfree.monoid import (
     AperiodicityWitness,
     FiniteMonoid,
     Homomorphism,
+    _psi,
     format_monoid_table,
     image_submonoid,
     is_aperiodic,
     local_divisor,
     parse_monoid_table,
-    psi_image,
     transition_aperiodicity,
     transition_monoid,
     unit_factorization_check,
@@ -65,6 +67,25 @@ class TestValidate:
     def test_ragged_table_rejected(self):
         with pytest.raises(MonoidError):
             FiniteMonoid(((0, 1), (1,)), 0)
+
+
+class TestBoolIsNoElement:
+    # a bool is an int to Python, but not an element index
+    def test_table_entry(self):
+        with pytest.raises(MonoidError):
+            FiniteMonoid(((0, True), (1, 1)), 0)
+
+    def test_identity(self):
+        with pytest.raises(MonoidError):
+            FiniteMonoid(((0, 1), (1, 1)), False)
+
+    def test_letter_image(self):
+        with pytest.raises(MonoidError):
+            Homomorphism(AB, ABSORBING, (True, 0))
+
+    def test_local_divisor_element(self):
+        with pytest.raises(MonoidError):
+            local_divisor(ABSORBING, True)
 
 
 class TestTransitionMonoid:
@@ -152,6 +173,55 @@ class TestAperiodicity:
         z3 = FiniteMonoid(((0, 1, 2), (1, 2, 0), (2, 0, 1)), 0)
         w = is_aperiodic(z3)
         assert w is not None and w.period == 3 and w.holds_in(z3)
+
+
+def power_shape(monoid, x):
+    """Least ``(index, period)`` with x^index = x^(index+period), found by
+    listing the powers x^1, x^2, ... until one repeats."""
+    powers = [x]
+    while (nxt := monoid.mul(powers[-1], x)) not in powers:
+        powers.append(nxt)
+    index = powers.index(nxt) + 1
+    return index, len(powers) + 1 - index
+
+
+def assert_witness_is_first_and_minimal(monoid):
+    shapes = [power_shape(monoid, x) for x in range(monoid.size)]
+    periodic = [x for x, (_, period) in enumerate(shapes) if period >= 2]
+    witness = is_aperiodic(monoid)
+    if not periodic:
+        assert witness is None
+    else:
+        x = periodic[0]
+        assert witness == AperiodicityWitness(x, *shapes[x])
+
+
+def cyclic_chain_product(m, k, rng):
+    """Z_m × C_k with C_k = {1, x, ..., x^k}, x^k = x^(k+1), its elements
+    numbered in the order of a shuffle drawn from ``rng``."""
+    size = m * (k + 1)
+    label = list(range(size))
+    rng.shuffle(label)
+    table = [[0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(size):
+            g = (a // (k + 1) + b // (k + 1)) % m
+            i = min(a % (k + 1) + b % (k + 1), k)
+            table[label[a]][label[b]] = label[g * (k + 1) + i]
+    return FiniteMonoid(table, label[0])
+
+
+class TestWitnessMinimality:
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("k", range(7))
+    def test_cyclic_chain_products(self, m, k):
+        monoid = cyclic_chain_product(m, k, random.Random(10 * m + k))
+        assert_witness_is_first_and_minimal(monoid)
+        assert (is_aperiodic(monoid) is None) == (m == 1)
+
+    def test_corpus(self):
+        for _, pattern, letters in APERIODIC_CORPUS + NON_APERIODIC:
+            assert_witness_is_first_and_minimal(syntactic(pattern, letters)[0])
 
 
 def count_mod(k):
@@ -323,23 +393,15 @@ class TestPsi:
     def test_identity_goes_to_c_squared(self):
         monoid, hom, _ = syntactic("(ab)*")
         pc = hom.image_of("a")
-        assert psi_image(hom, "a", monoid.identity) == monoid.mul(pc, pc)
+        assert _psi(monoid, pc, monoid.identity) == monoid.mul(pc, pc)
 
     def test_absorbing_case(self):
-        h = Homomorphism(Alphabet.of("c"), ABSORBING, (1,))
-        assert psi_image(h, "c", 0) == 1
+        assert _psi(ABSORBING, 1, 0) == 1
 
     def test_matches_word_evaluation(self):
         monoid, hom, _ = syntactic("(ab)*")
         b = hom.image_of("b")
-        assert psi_image(hom, "a", b) == hom.evaluate("aba")
-
-    def test_outside_submonoid_rejected(self):
-        monoid, hom, _ = syntactic("(ab)*")
-        a = hom.image_of("a")
-        assert a not in image_submonoid(hom, ("b",))
-        with pytest.raises(MonoidError, match="outside the image submonoid"):
-            psi_image(hom, "a", a)
+        assert _psi(monoid, hom.image_of("a"), b) == hom.evaluate("aba")
 
     def test_homomorphism_property_exhaustive(self):
         # psi(s) ∘ psi(t) must equal phi(c) s phi(c) t phi(c), over T x T
@@ -355,8 +417,8 @@ class TestPsi:
                 for s in sub:
                     for t in sub:
                         lhs = ld.divisor.mul(
-                            ld.from_base(psi_image(hom, c, s)),
-                            ld.from_base(psi_image(hom, c, t)),
+                            ld.from_base(_psi(monoid, pc, s)),
+                            ld.from_base(_psi(monoid, pc, t)),
                         )
                         direct = monoid.mul(
                             monoid.mul(monoid.mul(monoid.mul(pc, s), pc), t), pc

@@ -204,6 +204,11 @@ class TestSynthesize:
         with pytest.raises(NonAperiodicError):
             synthesize(h, 0)
 
+    def test_bool_target_rejected(self):
+        _, _, hom, _ = ab_star_setup()
+        with pytest.raises(MonoidError, match="not a monoid element"):
+            synthesize(hom, True)
+
     def test_monoid_cap(self):
         _, _, hom, _ = ab_star_setup()
         with pytest.raises(MonoidError):
