@@ -39,7 +39,6 @@ from .monoid import (
     FiniteMonoid,
     Homomorphism,
     LocalDivisor,
-    image_submonoid,
     is_aperiodic,
     local_divisor,
     parse_monoid_table,

@@ -335,7 +335,7 @@ def dfa_from_homomorphism(h: "Homomorphism", targets: Iterable[int]) -> Dfa:
     monoid = h.monoid
     targets = frozenset(targets)
     for t in targets:
-        if not 0 <= t < monoid.size:
+        if not _is_int(t) or not 0 <= t < monoid.size:
             raise MonoidError(f"target {t!r} is not a monoid element")
     table, images = monoid.table, h.letter_image
     return _crawl(

@@ -22,7 +22,6 @@ from .automata import Alphabet, Dfa, dfa_equivalent, load_dfa, words
 from .errors import AlphabetError, ParseError, SfreeError
 from .monoid import (
     DEFAULT_MONOID_CAP,
-    Homomorphism,
     is_aperiodic,
     parse_monoid_table,
     transition_aperiodicity,
@@ -65,15 +64,9 @@ def _parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     monoid_cap = _at_least(1)
 
-    def add_language_source(p, with_monoid=False):
+    def add_language_source(p):
         p.add_argument("--regex", help="regular expression for the input language")
         p.add_argument("--dfa", help="path to a DFA JSON file")
-        if with_monoid:
-            p.add_argument("--monoid", help="path to a monoid table file")
-            p.add_argument(
-                "--letters",
-                help="letter map 'a=0,b=3' validated against the monoid",
-            )
         p.add_argument(
             "--alphabet",
             help="alphabet for --regex as a string of letters (default: the "
@@ -81,7 +74,8 @@ def _parser() -> _Parser:
         )
 
     p = sub.add_parser("analyze", help="decide star-freeness")
-    add_language_source(p, with_monoid=True)
+    add_language_source(p)
+    p.add_argument("--monoid", help="path to a monoid table file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--max-monoid", type=monoid_cap, default=DEFAULT_MONOID_CAP)
     p.set_defaults(func=_cmd_analyze)
@@ -126,12 +120,6 @@ def _parser() -> _Parser:
 # input loading
 
 
-def _regex_alphabet(pattern: str, declared: str | None) -> Alphabet:
-    if declared is not None:
-        return Alphabet.of(declared)
-    return Alphabet(tuple(sorted({ch for ch in pattern if ch not in RESERVED})))
-
-
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -140,46 +128,36 @@ def _read_text(path: str) -> str:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _load_expr_dfa(path: str, declared: str | None) -> Dfa:
-    text = _read_text(path)
-    if declared is not None:
+def _load_spec(kind: str, value: str, declared: str | None) -> Dfa:
+    """The DFA of a language given by a regex, a DFA file or an expression
+    file.  ``declared`` is the alphabet of a regex or an expression, by
+    default the letters occurring in it; a DFA file carries its own."""
+    if kind == "dfa":
+        return load_dfa(value)
+    if kind == "regex":
+        if declared is None:
+            declared = sorted({ch for ch in value if ch not in RESERVED})
         alphabet = Alphabet.of(declared)
-        expr = parse_expr(text, alphabet)
-    else:
-        expr = parse_expr(text, None)
+        return regex_to_dfa(parse_regex(value, alphabet), alphabet)
+    text = _read_text(value)
+    alphabet = None if declared is None else Alphabet.of(declared)
+    expr = parse_expr(text, alphabet)
+    if alphabet is None:
         alphabet = Alphabet(tuple(sorted(expr_letters(expr))))
     return eval_expr(expr, alphabet)
 
 
 def _load_language(args) -> Dfa:
-    sources = [s for s in ("regex", "dfa") if getattr(args, s, None) is not None]
+    sources = [s for s in ("regex", "dfa") if getattr(args, s) is not None]
     if len(sources) != 1:
         raise _UsageError("exactly one of --regex/--dfa is required")
-    if args.regex is not None:
-        alphabet = _regex_alphabet(args.regex, args.alphabet)
-        return regex_to_dfa(parse_regex(args.regex, alphabet), alphabet)
-    d = load_dfa(args.dfa)
-    if args.alphabet is not None and Alphabet.of(args.alphabet) != d.alphabet:
+    kind = sources[0]
+    d = _load_spec(kind, getattr(args, kind), args.alphabet)
+    if kind == "dfa" and args.alphabet is not None and Alphabet.of(args.alphabet) != d.alphabet:
         raise AlphabetError(
             f"--alphabet {args.alphabet!r} does not match the DFA file's alphabet"
         )
     return d
-
-
-def _parse_letter_map(spec: str, monoid) -> Homomorphism:
-    letters = []
-    images = []
-    for item in spec.split(","):
-        if "=" not in item:
-            raise ParseError(f"bad letter map entry {item!r}")
-        letter, _, idx = item.partition("=")
-        letter = letter.strip()
-        try:
-            images.append(int(idx))
-        except ValueError:
-            raise ParseError(f"bad element index {idx!r} in letter map") from None
-        letters.append(letter)
-    return Homomorphism(Alphabet(tuple(letters)), monoid, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +198,16 @@ def _report_json(size, witness, expression=None, expr_metrics=None):
 
 
 def _cmd_analyze(args) -> int:
-    if getattr(args, "monoid", None) is not None:
+    if args.monoid is not None:
         if args.regex is not None or args.dfa is not None:
             raise _UsageError("--monoid cannot be combined with --regex/--dfa")
+        if args.alphabet is not None:
+            raise _UsageError("--monoid cannot be combined with --alphabet")
         monoid = parse_monoid_table(_read_text(args.monoid), max_size=args.max_monoid)
-        if args.letters is not None:
-            _parse_letter_map(args.letters, monoid)  # validation only
         witness = is_aperiodic(monoid)
         size = monoid.size
         language_input = False
     else:
-        if getattr(args, "letters", None) is not None:
-            raise _UsageError("--letters requires --monoid")
         size, witness = transition_aperiodicity(
             _load_language(args), max_size=args.max_monoid
         )
@@ -298,16 +274,8 @@ def _cmd_oracle(args) -> int:
     specs = args.specs or []
     if len(specs) != 2:
         raise _UsageError("oracle needs exactly two language specs")
-    dfas = []
-    for kind, value in specs:
-        if kind == "regex":
-            alphabet = _regex_alphabet(value, args.alphabet)
-            dfas.append(regex_to_dfa(parse_regex(value, alphabet), alphabet))
-        elif kind == "dfa":
-            dfas.append(load_dfa(value))
-        else:
-            dfas.append(_load_expr_dfa(value, args.alphabet))
-    d1, d2 = dfas
+    d1 = _load_spec(*specs[0], args.alphabet)
+    d2 = _load_spec(*specs[1], args.alphabet)
     if d1.alphabet != d2.alphabet:
         raise AlphabetError(
             f"the two specs use different alphabets: "

@@ -1,8 +1,9 @@
 """Finite monoid computations on explicit multiplication tables.
 
 Covers table validation, the transition monoid of a minimal DFA (which
-realizes the syntactic monoid), aperiodicity testing with witnesses, image
-submonoids of homomorphisms, and local divisors.
+realizes the syntactic monoid), aperiodicity testing with witnesses,
+homomorphisms with their images and restrictions to subalphabets, and
+local divisors.
 """
 
 from __future__ import annotations
@@ -185,12 +186,6 @@ def _closure(monoid: FiniteMonoid, generators: Iterable[int]) -> tuple[int, ...]
                 seen.add(y)
                 queue.append(y)
     return tuple(sorted(seen))
-
-
-def image_submonoid(h: Homomorphism, letters: Alphabet | Iterable[str]) -> tuple[int, ...]:
-    """The submonoid of ``h.monoid`` generated by the images of ``letters``
-    (a subset of h's alphabet), in ascending element order."""
-    return _closure(h.monoid, tuple(h.image_of(a) for a in letters))
 
 
 def _transformations(d: Dfa, max_size: int) -> tuple[list[tuple[int, ...]], frozenset[int]]:

@@ -107,20 +107,11 @@ EPSILON = Epsilon()
 
 def expr_letters(e: SfExpr) -> frozenset[str]:
     """All letter tokens occurring in the expression."""
-    seen: set[SfExpr] = set()
-    letters: set[str] = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        if isinstance(n, Letter):
-            letters.add(n.symbol)
-        elif isinstance(n, (Union, Difference, Concat)):
-            stack.append(n.left)
-            stack.append(n.right)
-    return frozenset(letters)
+    return _fold(
+        e,
+        lambda n: frozenset((n.symbol,)) if isinstance(n, Letter) else frozenset(),
+        lambda n, left, right: left | right,
+    )
 
 
 def _fold(e: SfExpr, leaf, node=None):

@@ -35,7 +35,6 @@ from .monoid import (
     _psi,
     _transformations,
     _transition_table,
-    image_submonoid,
     is_aperiodic,
     local_divisor,
 )
@@ -124,7 +123,7 @@ def sigma_inverse(
     through unchanged."""
     full = h.alphabet
     sub = full.without(c)
-    allowed = set(image_submonoid(h, sub))
+    allowed = set(h.restrict(sub).image)
     all_translation = Union(Concat(ALL, Letter(c)), EPSILON)
 
     def leaf(n: SfExpr) -> SfExpr:
@@ -333,7 +332,9 @@ def decide_star_free(d: Dfa, *, max_monoid: int = DEFAULT_MONOID_CAP) -> StarFre
     # Without it, `render_expr` plus `metrics` over the 174 synth-roundtrip
     # benchmark requests of seed 401 take 2.1 + 1.4 s of CPU instead of
     # 0.9 + 0.03 s.
-    expressions = tuple(simplify(synthesize(hom, p, context=ctx)) for p in elements)
+    # `_transformations` and `_first_periodic` have settled the cap and the
+    # aperiodicity that `synthesize` would check again for each element
+    expressions = tuple(simplify(_synthesize(ctx, hom, p, None, 1)) for p in elements)
     return StarFreenessVerdict(
         star_free=True,
         monoid_size=len(elems),

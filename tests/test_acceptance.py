@@ -16,7 +16,6 @@ from sfree.automata import dfa_equivalent, enumerate_members
 from sfree.cli import run_cli
 from sfree.monoid import (
     FiniteMonoid,
-    image_submonoid,
     is_aperiodic,
     local_divisor,
     transition_monoid,
@@ -168,7 +167,7 @@ def test_criterion_5_translation_distributes_over_concatenation(corpus_results):
         def synth_letter(t):
             return synthesize(h_sub, t, context=ctx)
 
-        reachable = image_submonoid(hom, sub)
+        reachable = h_sub.image
         assert len(reachable) <= 4
         tokens = [Letter(element_token(t)) for t in reachable]
         pairs = [

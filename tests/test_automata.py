@@ -293,6 +293,13 @@ class TestHomomorphismDfa:
         with pytest.raises(MonoidError):
             dfa_from_homomorphism(h, {3})
 
+    @pytest.mark.parametrize("target", [1.5, True, 1.0])
+    def test_non_integer_target(self, target):
+        # in range by comparison, but not an element index
+        h = Homomorphism(A1, FiniteMonoid(((0, 1), (1, 1)), 0), (1,))
+        with pytest.raises(MonoidError):
+            dfa_from_homomorphism(h, {target})
+
     def test_word_evaluation_matches_membership(self):
         m = FiniteMonoid(((0, 1), (1, 1)), 0)
         h = Homomorphism(AB, m, (1, 0))

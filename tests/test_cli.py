@@ -73,11 +73,19 @@ class TestAnalyze:
         assert code == 1 and "witness: element 1, index 1, period 2" in out
 
     def test_monoid_with_letter_map(self, capsys, tmp_path):
+        # analyze has no letter-map option
         table = write(tmp_path, "m.txt", "2 0\n0 1\n1 1\n")
-        code, _, _ = run(capsys, "analyze", "--monoid", table, "--letters", "a=1,b=0")
-        assert code == 0
-        code, _, err = run(capsys, "analyze", "--monoid", table, "--letters", "a=9")
-        assert code == 2 and "error:" in err
+        for letters in ("a=1,b=0", "a=9"):
+            code, out, err = run(capsys, "analyze", "--monoid", table, "--letters", letters)
+            assert code == 2 and out == ""
+            assert err.startswith("error: usage:") and "--letters" in err
+
+    def test_monoid_with_alphabet_is_a_usage_error(self, capsys, tmp_path):
+        # a table has no letters, so an alphabet for it would be ignored
+        table = write(tmp_path, "m.txt", "2 0\n0 1\n1 1\n")
+        code, out, err = run(capsys, "analyze", "--monoid", table, "--alphabet", "ab")
+        assert code == 2 and out == ""
+        assert err.startswith("error: usage:") and "--alphabet" in err
 
     def test_table_over_the_cap_is_refused_before_associativity(
         self, capsys, tmp_path, monkeypatch

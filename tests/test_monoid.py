@@ -7,6 +7,7 @@ from corpus import APERIODIC_CORPUS, NON_APERIODIC, corpus_dfa, words_upto
 from sfree.automata import (
     Alphabet,
     Dfa,
+    dfa_complement,
     dfa_equivalent,
     dfa_from_homomorphism,
     dfa_minimize,
@@ -23,7 +24,6 @@ from sfree.monoid import (
     Homomorphism,
     _psi,
     format_monoid_table,
-    image_submonoid,
     is_aperiodic,
     local_divisor,
     parse_monoid_table,
@@ -275,6 +275,27 @@ class TestTableFree:
             transition_aperiodicity(count_mod(12), max_size=5)
 
 
+class TestMetamorphic:
+    """Changes to a language or its alphabet that keep its syntactic monoid."""
+
+    @pytest.mark.parametrize(
+        "pattern, letters",
+        [entry[1:] for entry in APERIODIC_CORPUS + NON_APERIODIC],
+        ids=[entry[0] for entry in APERIODIC_CORPUS + NON_APERIODIC],
+    )
+    def test_same_monoid_same_result(self, pattern, letters):
+        d, _ = corpus_dfa(pattern, letters)
+        result = transition_aperiodicity(d)
+        assert transition_aperiodicity(dfa_complement(d)) == result
+        # renaming in order keeps the enumeration order, witness included
+        rename = str.maketrans("abc", "xyz")
+        renamed, _ = corpus_dfa(pattern.translate(rename), letters.translate(rename))
+        assert transition_aperiodicity(renamed) == result
+        # another letter order enumerates the elements in another order
+        size, witness = transition_aperiodicity(corpus_dfa(pattern, letters[::-1])[0])
+        assert size == result[0] and (witness is None) == (result[1] is None)
+
+
 @st.composite
 def small_dfas(draw):
     m = draw(st.integers(1, 5))
@@ -368,15 +389,15 @@ class TestLocalDivisor:
 class TestImageSubmonoid:
     def test_empty_subalphabet(self):
         _, hom, _ = syntactic("(ab)*")
-        assert image_submonoid(hom, ()) == (hom.monoid.identity,)
+        assert hom.restrict(Alphabet(())).image == (hom.monoid.identity,)
 
     def test_full_alphabet_is_stored_image(self):
         _, hom, _ = syntactic("(ab)*")
-        assert image_submonoid(hom, hom.alphabet) == hom.image
+        assert hom.restrict(hom.alphabet).image == hom.image
 
     def test_generated_by_b_is_closed(self):
         monoid, hom, _ = syntactic("(ab)*")
-        sub = image_submonoid(hom, ("b",))
+        sub = hom.restrict(Alphabet.of("b")).image
         b = hom.image_of("b")
         assert monoid.identity in sub and b in sub and monoid.mul(b, b) in sub
         for x in sub:
@@ -386,7 +407,7 @@ class TestImageSubmonoid:
     def test_foreign_letter(self):
         _, hom, _ = syntactic("(ab)*")
         with pytest.raises(AlphabetError):
-            image_submonoid(hom, ("z",))
+            hom.restrict(Alphabet.of("z")).image
 
 
 class TestPsi:
@@ -412,7 +433,7 @@ class TestPsi:
                 if hom.image_of(c) == one:
                     continue
                 pc = hom.image_of(c)
-                sub = image_submonoid(hom, hom.alphabet.without(c))
+                sub = hom.restrict(hom.alphabet.without(c)).image
                 ld = local_divisor(monoid, pc)
                 for s in sub:
                     for t in sub:
