@@ -148,9 +148,10 @@ def enumerate_members(d: Dfa, maxlen: int) -> list[Word]:
 def dfa_minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA for the same language.
 
-    Unreachable states are dropped, equivalent states merged (Moore partition
-    refinement), and the result is renumbered breadth-first from the initial
-    state with letters in alphabet order.  The numbering makes the result
+    Unreachable states are dropped, equivalent states merged (Hopcroft's
+    partition refinement, time O(k·m·log m) for m states and k letters),
+    and the result is renumbered breadth-first from the initial state with
+    letters in alphabet order.  The numbering makes the result
     canonical: two language-equal DFAs minimize to structurally identical
     values.  A result of this function is returned unchanged when passed in
     again.
@@ -162,18 +163,7 @@ def dfa_minimize(d: Dfa) -> Dfa:
     )
     trans, acc, m = reach.transitions, reach.accepting, reach.n_states
 
-    # Moore refinement: split classes by (finality, successor classes)
-    block = [1 if s in acc else 0 for s in range(m)]
-    n_classes = len(set(block))
-    while True:
-        ids: dict[tuple, int] = {}
-        block = [
-            ids.setdefault((block[s], tuple(block[t] for t in trans[s])), len(ids))
-            for s in range(m)
-        ]
-        if len(ids) == n_classes:
-            break
-        n_classes = len(ids)
+    block, n_classes = _hopcroft(trans, acc, len(d.alphabet))
 
     # quotient automaton, renumbered canonically
     btrans: list[tuple[int, ...] | None] = [None] * n_classes
@@ -187,6 +177,57 @@ def dfa_minimize(d: Dfa) -> Dfa:
         raise SfreeError("quotient of a reachable DFA is reachable")
     object.__setattr__(out, "_minimal", True)
     return out
+
+
+def _hopcroft(
+    trans: tuple[tuple[int, ...], ...], acc: frozenset[int], k: int
+) -> tuple[list[int], int]:
+    """The class of each state under language equivalence, and the number of
+    classes, for the complete DFA ``trans`` with accepting set ``acc`` over
+    ``k`` letters.
+
+    Hopcroft's refinement: a pending block splits every block that has
+    states both with and without a successor in it on some letter.  Of each
+    split, only the smaller half is queued as a new splitter; the larger one
+    keeps the old block's number and its place in the queue, if any.  A
+    split costs the size of its smaller half, so each state is moved at most
+    log2(m) times."""
+    m = len(trans)
+    final = [s for s in range(m) if s in acc]
+    if not final or len(final) == m:
+        return [0] * m, 1
+    members = [set(range(m)).difference(final), set(final)]
+    block = [0] * m
+    for s in final:
+        block[s] = 1
+    pending = [0 if len(members[0]) <= len(members[1]) else 1]
+    preds = [[[] for _ in range(m)] for _ in range(k)]
+    for s, row in enumerate(trans):
+        for j, t in enumerate(row):
+            preds[j][t].append(s)
+    while pending:
+        splitter = tuple(members[pending.pop()])
+        for into in preds:
+            hits: dict[int, list[int]] = {}
+            for t in splitter:
+                for s in into[t]:
+                    hits.setdefault(block[s], []).append(s)
+            for c, hit in hits.items():
+                whole = members[c]
+                if len(hit) == len(whole):
+                    continue
+                if 2 * len(hit) <= len(whole):
+                    small = set(hit)
+                    whole -= small
+                else:
+                    small = whole.difference(hit)
+                    members[c] = set(hit)
+                b = len(members)
+                members.append(small)
+                for s in small:
+                    block[s] = b
+                pending.append(b)
+    return block, len(members)
 
 
 def _require_same_alphabet(d1: Dfa, d2: Dfa) -> None:

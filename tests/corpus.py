@@ -5,7 +5,9 @@ matcher works by structural recursion on the AST with explicit word splits,
 so it can cross-check the automata constructions.
 """
 
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -13,6 +15,19 @@ from sfree import regex as rx
 from sfree.automata import Alphabet
 from sfree.regex import parse_regex, regex_to_dfa
 from sfree.sfexpr import Concat, Difference, Union
+
+def _load_reference():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: ``perfbench/reference.py``, a DFA toolkit that shares no code with the
+#: library: textbook languages, its own minimization and an expression
+#: evaluator.
+reference = _load_reference()
 
 # name, pattern, alphabet letters.  All syntactic monoids have size <= 10.
 APERIODIC_CORPUS = [

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import dfa_objects, words_upto
+from corpus import dfa_objects, reference, words_upto
 from sfree.automata import (
     Alphabet,
     Dfa,
@@ -119,6 +121,40 @@ class TestMinimize:
     def test_language_preserved(self):
         d = Dfa(AB, ((1, 2), (3, 0), (2, 2), (3, 3)), 0, frozenset({0}))
         assert agree_upto_bound(d, dfa_minimize(d))
+
+    def test_agrees_with_reference_on_seeded_random_dfas(self):
+        # perfbench/reference.py minimizes by Moore refinement, with no code
+        # shared with the library; both number states breadth-first
+        rng = random.Random(1971)
+        for _ in range(400):
+            rows, accepting, d = random_dfa_pair(rng)
+            minimal = dfa_minimize(d)
+            assert (minimal.transitions, minimal.accepting) == reference.canonical(
+                rows, accepting
+            )
+            assert minimal.initial == 0
+
+
+def random_dfa_pair(rng):
+    """A random DFA as ``(rows, accepting)`` with start state 0 for the
+    reference, and the same DFA with its states shuffled as a :class:`Dfa`.
+    One letter in a quarter of the draws; unreachable states in half of
+    them; every state or no state accepting in a third of them."""
+    k = rng.choice((1, 2, 2, 3))
+    reach = rng.randint(1, rng.choice((4, 12, 40)))
+    m = reach + rng.choice((0, rng.randint(1, 5)))
+    # states from `reach` on have no edge into them from below `reach`
+    rows = [tuple(rng.randrange(reach) for _ in range(k)) for _ in range(reach)]
+    rows += [tuple(rng.randrange(m) for _ in range(k)) for _ in range(reach, m)]
+    share = rng.choice((0.0, 1.0, 0.2, 0.5, 0.8))
+    accepting = {s for s in range(m) if rng.random() < share}
+    name = list(range(m))
+    rng.shuffle(name)
+    renamed = [None] * m
+    for s, row in enumerate(rows):
+        renamed[name[s]] = tuple(name[t] for t in row)
+    d = Dfa(Alphabet.of("abc"[:k]), tuple(renamed), name[0], {name[s] for s in accepting})
+    return rows, accepting, d
 
 
 class TestCombine:

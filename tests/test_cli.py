@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -102,6 +103,14 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--monoid", table)
         assert code == 2 and out == ""
         assert err == "error: monoid-cap: monoid size 600 exceeds the cap 64\n"
+
+    def test_long_word_is_refused_by_the_cap_quickly(self, capsys):
+        # 4002 minimal states: more than the cap, known before enumerating
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--regex", "(ab)" * 2000, "--alphabet", "ab")
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err == "error: monoid-cap: transition monoid exceeds the size cap 64\n"
 
     def test_input_error_is_machine_parsable(self, capsys):
         code, _, err = run(capsys, "analyze", "--regex", "a|")

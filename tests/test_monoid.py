@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,10 @@ from sfree.monoid import (
     AperiodicityWitness,
     FiniteMonoid,
     Homomorphism,
+    _first_periodic,
+    _power_shape,
     _psi,
+    _transformations,
     format_monoid_table,
     is_aperiodic,
     local_divisor,
@@ -63,6 +67,18 @@ class TestValidate:
     def test_identity_violation_reported(self):
         with pytest.raises(MonoidError, match="identity law"):
             validate_monoid([[1, 1], [1, 1]], 0)
+
+    def test_needs_every_element_as_a_generator(self):
+        # x*y = max(x, y): no element is a product of others, so Light's
+        # test checks every middle element
+        n = 12
+        table = [[max(x, y) for y in range(n)] for x in range(n)]
+        assert validate_monoid(table, 0).size == n
+        # every failing triple has the last generator in the middle
+        table[11][11] = 9
+        with pytest.raises(MonoidError) as raised:
+            validate_monoid(table, 0)
+        assert str(raised.value) == "not associative: ((10*11)*11) = 9 but (10*(11*11)) = 10"
 
     def test_ragged_table_rejected(self):
         with pytest.raises(MonoidError):
@@ -273,6 +289,26 @@ class TestTableFree:
             transition_monoid(count_mod(12), max_size=5)
         with pytest.raises(MonoidSizeError):
             transition_aperiodicity(count_mod(12), max_size=5)
+
+
+    def test_more_states_than_the_cap_is_refused_before_enumerating(self):
+        # a minimal DFA's states are reached by distinct transformations;
+        # the letter maps of this one are never read
+        d = count_mod(7)
+        with pytest.raises(MonoidSizeError, match="^transition monoid exceeds the size cap 6$"):
+            _transformations(_Unreadable(d), 6)
+        assert len(_transformations(d, 7)[0]) == 7
+
+
+class _Unreadable:
+    """A DFA whose state count may be read but not its transitions."""
+
+    def __init__(self, d):
+        self.n_states = d.n_states
+
+    @property
+    def transitions(self):
+        raise AssertionError("the transformations were enumerated")
 
 
 class TestMetamorphic:
@@ -506,3 +542,80 @@ def test_random_monoid_laws_and_divisors(table):
         assert ld.to_base(ld.divisor.identity) == c
         if witness is None and c != monoid.identity:
             assert len(ld.carrier) < monoid.size
+
+
+def failing_triples(table):
+    """Every triple (x, y, z) with (x*y)*z != x*(y*z), by exhaustion."""
+    n = len(table)
+    return [
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if table[table[x][y]][z] != table[x][table[y][z]]
+    ]
+
+
+@st.composite
+def identity_law_tables(draw):
+    """Tables with identity 0 that obey the identity law: a transformation
+    monoid with up to two entries overwritten, or all entries drawn."""
+    if draw(st.booleans()):
+        table = [list(row) for row in draw(transformation_monoids())]
+        n = len(table)
+        if n > 1:
+            for _ in range(draw(st.integers(0, 2))):
+                x, y = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+                table[x][y] = draw(st.integers(0, n - 1))
+    else:
+        n = draw(st.integers(1, 5))
+        table = [
+            [y if x == 0 else x if y == 0 else draw(st.integers(0, n - 1)) for y in range(n)]
+            for x in range(n)
+        ]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(identity_law_tables())
+def test_light_test_agrees_with_exhaustive_check(table):
+    failing = failing_triples(table)
+    if not failing:
+        assert validate_monoid(table, 0).table == tuple(map(tuple, table))
+        return
+    with pytest.raises(MonoidError) as raised:
+        validate_monoid(table, 0)
+    message = str(raised.value)
+    found = re.fullmatch(
+        r"not associative: \(\((\d+)\*(\d+)\)\*(\d+)\) = (\d+) but "
+        r"\((\d+)\*\((\d+)\*(\d+)\)\) = (\d+)",
+        message,
+    )
+    assert found, message
+    x, y, z, left, x2, y2, z2, right = map(int, found.groups())
+    assert (x, y, z) == (x2, y2, z2) and (x, y, z) in failing
+    assert left == table[table[x][y]][z] and right == table[x][table[y][z]]
+
+
+@st.composite
+def state_maps(draw):
+    """A map on 1-40 states: arbitrary, or a permutation with some states
+    sent into it, so that long cycles and long tails both occur."""
+    m = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)))
+    cycle = draw(st.integers(1, m))
+    perm = draw(st.permutations(range(cycle)))
+    tail = [draw(st.integers(0, s - 1)) for s in range(cycle, m)]
+    return tuple(perm) + tuple(tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_maps())
+def test_squaring_check_agrees_with_power_shape(t):
+    index, period = _power_shape(t)
+    witness = _first_periodic([t])
+    if period >= 2:
+        assert witness == AperiodicityWitness(element=0, index=index, period=period)
+    else:
+        assert witness is None

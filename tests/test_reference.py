@@ -2,20 +2,11 @@
 the library: ``perfbench/reference.py`` builds each expected language from
 its textbook definition and evaluates expression text with its own DFAs."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-from corpus import corpus_dfa
+from corpus import corpus_dfa, reference as ref
 from sfree.sfexpr import render_expr
 from sfree.synthesis import decide_star_free
-
-_spec = importlib.util.spec_from_file_location(
-    "reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-)
-ref = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ref)
 
 # pattern, reference builder, its word; each synthesizes in milliseconds
 # ((abc)* is left out: its 7.4-million-character text takes seconds)

@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +71,17 @@ class TestCompile:
         assert dfa_minimize(d) is d  # already minimal: returned unchanged
         for w in words_upto("ab", 6):
             assert d.accepts(w) == naive_match(ast, w)
+
+    def test_long_word_compiles_in_bounded_time(self):
+        # the minimal DFA of one word is a path, on which refinement that
+        # splits one level per round (Moore's) took about 21 s here
+        ast = parse_regex("(ab)" * 2000, AB)
+        start = time.perf_counter()
+        d = regex_to_dfa(ast, AB)
+        assert time.perf_counter() - start < 2
+        assert d.n_states == 4002
+        assert d.accepts("ab" * 2000)
+        assert not d.accepts("ab" * 1999) and not d.accepts("ab" * 2000 + "a")
 
     def test_universal(self):
         d = regex_to_dfa(parse_regex("(a|b)*", AB), AB)
