@@ -12,16 +12,13 @@ from .automata import (
     Alphabet,
     Dfa,
     dfa_combine,
-    dfa_complement,
     dfa_equivalent,
-    dfa_from_homomorphism,
     dfa_minimize,
     empty_dfa,
     enumerate_members,
     epsilon_dfa,
     letter_dfa,
     load_dfa,
-    save_dfa,
     universal_dfa,
     words,
 )
@@ -51,7 +48,6 @@ from .regex import parse_regex, regex_to_dfa
 from .sfexpr import (
     SfExpr,
     SfMetrics,
-    desugar,
     eval_expr,
     expr_letters,
     metrics,

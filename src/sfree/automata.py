@@ -13,12 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import AlphabetError, MonoidError, ParseError, SfreeError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
-    from .monoid import Homomorphism
+from .errors import AlphabetError, ParseError, SfreeError
 
 #: A word is a tuple of letters.  Plain strings work too for single-character
 #: alphabets, since iterating a string yields its characters.
@@ -249,11 +246,6 @@ def dfa_equivalent(d1: Dfa, d2: Dfa) -> bool:
 # combinators
 
 
-def dfa_complement(d: Dfa) -> Dfa:
-    """Flip the accepting states; sound because every DFA here is complete."""
-    return Dfa(d.alphabet, d.transitions, d.initial, frozenset(range(d.n_states)) - d.accepting)
-
-
 def _crawl(
     alphabet: Alphabet,
     start,
@@ -365,40 +357,8 @@ def letter_dfa(alphabet: Alphabet, letter: str) -> Dfa:
     return Dfa(alphabet, (row0, sink, sink), 0, frozenset({1}))
 
 
-def dfa_from_homomorphism(h: "Homomorphism", targets: Iterable[int]) -> Dfa:
-    """DFA accepting exactly the words whose image under ``h`` lies in
-    ``targets``.
-
-    States are the monoid elements reachable from the identity under right
-    multiplication by letter images (discovered breadth-first, letters in
-    alphabet order); the transition on letter ``a`` multiplies by the image
-    of ``a``."""
-    monoid = h.monoid
-    targets = frozenset(targets)
-    for t in targets:
-        if not _is_int(t) or not 0 <= t < monoid.size:
-            raise MonoidError(f"target {t!r} is not a monoid element")
-    table, images = monoid.table, h.letter_image
-    return _crawl(
-        h.alphabet,
-        monoid.identity,
-        lambda x: map(table[x].__getitem__, images),
-        targets.__contains__,
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON file format
-
-
-def dfa_to_dict(d: Dfa) -> dict:
-    return {
-        "alphabet": list(d.alphabet.letters),
-        "states": d.n_states,
-        "initial": d.initial,
-        "accepting": sorted(d.accepting),
-        "delta": [list(row) for row in d.transitions],
-    }
 
 
 def _is_int(value) -> bool:
@@ -451,9 +411,3 @@ def load_dfa(path) -> Dfa:
         except ValueError as exc:  # undecodable bytes, bad JSON, or an overlong number
             raise ParseError(f"DFA file is not UTF-8 JSON: {exc}") from exc
     return dfa_from_dict(obj)
-
-
-def save_dfa(d: Dfa, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dfa_to_dict(d), fh)
-        fh.write("\n")

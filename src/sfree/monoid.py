@@ -119,17 +119,21 @@ class AperiodicityWitness:
 
 
 def is_aperiodic(monoid: FiniteMonoid) -> AperiodicityWitness | None:
-    """None iff every element satisfies x^n = x^(n+1) for n = |M| (a bound
-    that always suffices for finite monoids); otherwise a witness for the
-    first periodic element, with minimal index and period."""
-    n = monoid.size
-    for x in range(n):
-        if monoid.power(x, n) != monoid.power(x, n + 1):
-            # y -> y*x is faithful (it sends the identity to x), so the
-            # powers of x repeat exactly as those of this map do
-            index, period = _power_shape(tuple(row[x] for row in monoid.table))
-            return AperiodicityWitness(element=x, index=index, period=period)
-    return None
+    """None iff every element has period 1; otherwise a witness for the
+    first element of period >= 2, with minimal index and period.
+
+    The squaring test of :func:`_first_periodic` runs on element indices,
+    squaring by table lookup; an element's index is at most |M|.  The
+    witness is read off the right multiplication ``y -> y*x``, which is
+    faithful (it sends the identity to ``x``), so the powers of ``x`` repeat
+    exactly as those of this map do."""
+    table = monoid.table
+    return _first_periodic(
+        range(monoid.size),
+        monoid.mul,
+        monoid.size,
+        lambda x: tuple(row[x] for row in table),
+    )
 
 
 def unit_factorization_check(monoid: FiniteMonoid) -> bool:
@@ -287,19 +291,26 @@ def _power_shape(t: tuple[int, ...]) -> tuple[int, int]:
     return index, period
 
 
-def _first_periodic(elems) -> AperiodicityWitness | None:
-    """Witness for the first transformation in ``elems`` with period >= 2.
+def _compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    """The state map ``q -> s[t[q]]``."""
+    return tuple(map(s.__getitem__, t))
 
-    A transformation ``t`` of ``m`` states has index at most ``m``, so
-    ``u = t^(2^k)`` with ``2^k >= m`` lies on its cycle of powers, and ``t``
-    has period 1 iff ``t*u = u``.  Only the first element that fails this
-    is read off by :func:`_power_shape`."""
+
+def _first_periodic(elems, mul, bound: int, as_map) -> AperiodicityWitness | None:
+    """Witness for the first element of ``elems`` with period >= 2.
+
+    ``mul`` multiplies two elements, ``bound`` bounds the index of every
+    element, and ``as_map(x)`` is a faithful state map of the ``x``-th
+    element.  ``u = t^(2^k)`` with ``2^k >= bound`` lies on the cycle of
+    powers of ``t``, so ``t`` has period 1 iff ``t*u = u``.  Only the first
+    element that fails this is read off by :func:`_power_shape`."""
+    rounds = (bound - 1).bit_length()
     for x, t in enumerate(elems):
         u = t
-        for _ in range((len(t) - 1).bit_length()):
-            u = tuple(map(u.__getitem__, u))
-        if tuple(map(t.__getitem__, u)) != u:
-            index, period = _power_shape(t)
+        for _ in range(rounds):
+            u = mul(u, u)
+        if mul(t, u) != u:
+            index, period = _power_shape(as_map(x))
             return AperiodicityWitness(element=x, index=index, period=period)
     return None
 
@@ -315,10 +326,13 @@ def transition_aperiodicity(
     is aperiodic iff no element's functional graph has a cycle of length
     >= 2, and the first element that has one is the witness, so the result
     equals ``(monoid.size, is_aperiodic(monoid))`` for ``monoid`` the first
-    component of ``transition_monoid(d)``.  Raises
-    :class:`MonoidSizeError` past ``max_size``."""
-    elems, _ = _transformations(dfa_minimize(d), max_size)
-    return len(elems), _first_periodic(elems)
+    component of ``transition_monoid(d)``.  The squaring test of
+    :func:`_first_periodic` runs on the state maps, whose indices are at
+    most the number of states.  Raises :class:`MonoidSizeError` past
+    ``max_size``."""
+    d = dfa_minimize(d)
+    elems, _ = _transformations(d, max_size)
+    return len(elems), _first_periodic(elems, _compose, d.n_states, elems.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -358,7 +372,8 @@ def local_divisor(monoid: FiniteMonoid, c: int) -> LocalDivisor:
 
     When the base monoid is aperiodic, the divisor is asserted to be
     aperiodic as well, and strictly smaller whenever ``c`` is not the
-    identity.
+    identity.  Both aperiodicity tests are :func:`is_aperiodic`, about
+    ``|M| log |M|`` table lookups each, small next to building the divisor.
     """
     n = monoid.size
     if not _is_int(c) or not 0 <= c < n:
@@ -437,9 +452,3 @@ def parse_monoid_table(text: str, max_size: int = DEFAULT_MONOID_CAP) -> FiniteM
     if n > max_size:
         raise MonoidSizeError(f"monoid size {n} exceeds the cap {max_size}")
     return validate_monoid(tuple(rows), identity)
-
-
-def format_monoid_table(monoid: FiniteMonoid) -> str:
-    lines = [f"{monoid.size} {monoid.identity}"]
-    lines.extend(" ".join(str(x) for x in row) for row in monoid.table)
-    return "\n".join(lines) + "\n"

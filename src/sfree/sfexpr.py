@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 from .automata import (
     Alphabet,
@@ -136,22 +135,6 @@ def _fold(e: SfExpr, leaf, node=None):
         return out
 
     return go(e)
-
-
-def desugar(e: SfExpr, alphabet: Alphabet) -> SfExpr:
-    """Rewrite Empty/Epsilon into the five core constructors."""
-    empty_core = Difference(ALL, ALL)
-    nonempty = [Concat(Concat(ALL, Letter(a)), ALL) for a in alphabet]
-    epsilon_core = Difference(ALL, reduce(Union, nonempty) if nonempty else empty_core)
-
-    def leaf(n: SfExpr) -> SfExpr:
-        if isinstance(n, Empty):
-            return empty_core
-        if isinstance(n, Epsilon):
-            return epsilon_core
-        return n
-
-    return _fold(e, leaf)
 
 
 def eval_expr(e: SfExpr, alphabet: Alphabet) -> Dfa:

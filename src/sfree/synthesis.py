@@ -31,6 +31,7 @@ from .monoid import (
     AperiodicityWitness,
     Homomorphism,
     LocalDivisor,
+    _compose,
     _first_periodic,
     _psi,
     _transformations,
@@ -63,13 +64,16 @@ def element_token(element: int) -> str:
 
 
 def token_element(token: str) -> int:
-    """Inverse of :func:`element_token`."""
-    if (
-        len(token) > len(TOKEN_PREFIX)
-        and token.startswith(TOKEN_PREFIX)
-        and token[len(TOKEN_PREFIX) :].isdigit()
-    ):
-        return int(token[len(TOKEN_PREFIX) :])
+    """Inverse of :func:`element_token`: the element ``n >= 0`` with
+    ``element_token(n) == token``."""
+    if token.startswith(TOKEN_PREFIX):
+        try:
+            element = int(token[len(TOKEN_PREFIX) :])
+        except ValueError:  # not an integer literal, or longer than int() reads
+            pass
+        else:
+            if element >= 0 and element_token(element) == token:
+                return element
     raise MonoidError(f"{token!r} is not a monoid-element token")
 
 
@@ -312,7 +316,7 @@ def decide_star_free(d: Dfa, *, max_monoid: int = DEFAULT_MONOID_CAP) -> StarFre
     denotes the language)."""
     minimal = dfa_minimize(d)
     elems, accept = _transformations(minimal, max_monoid)
-    witness = _first_periodic(elems)
+    witness = _first_periodic(elems, _compose, minimal.n_states, elems.__getitem__)
     elements = tuple(sorted(accept))
     if witness is not None:
         return StarFreenessVerdict(

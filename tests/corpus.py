@@ -1,20 +1,24 @@
-"""Shared test corpus and independent brute-force oracles.
+"""Shared test corpus, independent brute-force oracles, and the helpers
+that only tests need.
 
 The oracles here deliberately avoid the library's DFA pipeline: the regex
 matcher works by structural recursion on the AST with explicit word splits,
-so it can cross-check the automata constructions.
+and the DFA of a homomorphism is built by its own breadth-first search, so
+they can cross-check the automata constructions.
 """
 
 import importlib.util
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 from sfree import regex as rx
-from sfree.automata import Alphabet
+from sfree.automata import Alphabet, Dfa
+from sfree.errors import MonoidError
 from sfree.regex import parse_regex, regex_to_dfa
-from sfree.sfexpr import Concat, Difference, Union
+from sfree.sfexpr import ALL, Concat, Difference, Empty, Epsilon, Letter, Union, _fold
 
 def _load_reference():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
@@ -111,6 +115,63 @@ def naive_match(node, word):
         raise TypeError(node)
     _MATCH_CACHE[key] = out
     return out
+
+
+def dfa_from_homomorphism(h, targets):
+    """DFA accepting exactly the words whose image under ``h`` lies in
+    ``targets``.  Its states are the monoid elements reachable from the
+    identity by right multiplication with letter images, numbered
+    breadth-first with letters in alphabet order."""
+    monoid = h.monoid
+    targets = frozenset(targets)
+    for t in targets:
+        if type(t) is not int or not 0 <= t < monoid.size:  # a bool is no element
+            raise MonoidError(f"target {t!r} is not a monoid element")
+    order, pos, rows = [monoid.identity], {monoid.identity: 0}, []
+    for x in order:
+        row = []
+        for g in h.letter_image:
+            y = monoid.table[x][g]
+            if y not in pos:
+                pos[y] = len(order)
+                order.append(y)
+            row.append(pos[y])
+        rows.append(tuple(row))
+    return Dfa(h.alphabet, tuple(rows), 0, frozenset(pos[t] for t in targets if t in pos))
+
+
+def desugar(e, alphabet):
+    """Rewrite Empty/Epsilon into the five core constructors."""
+    empty_core = Difference(ALL, ALL)
+    nonempty = [Concat(Concat(ALL, Letter(a)), ALL) for a in alphabet]
+    epsilon_core = Difference(ALL, reduce(Union, nonempty) if nonempty else empty_core)
+
+    def leaf(n):
+        if isinstance(n, Empty):
+            return empty_core
+        if isinstance(n, Epsilon):
+            return epsilon_core
+        return n
+
+    return _fold(e, leaf)
+
+
+def dfa_to_dict(d):
+    """The DFA file format's JSON object for ``d``."""
+    return {
+        "alphabet": list(d.alphabet.letters),
+        "states": d.n_states,
+        "initial": d.initial,
+        "accepting": sorted(d.accepting),
+        "delta": [list(row) for row in d.transitions],
+    }
+
+
+def format_monoid_table(monoid):
+    """The monoid table file text for ``monoid``."""
+    lines = [f"{monoid.size} {monoid.identity}"]
+    lines.extend(" ".join(str(x) for x in row) for row in monoid.table)
+    return "\n".join(lines) + "\n"
 
 
 # JSON-shaped values for fuzzing the DFA file format, with the format's keys

@@ -4,13 +4,18 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import APERIODIC_CORPUS, NON_APERIODIC, corpus_dfa, words_upto
+from corpus import (
+    APERIODIC_CORPUS,
+    NON_APERIODIC,
+    corpus_dfa,
+    dfa_from_homomorphism,
+    format_monoid_table,
+    words_upto,
+)
 from sfree.automata import (
     Alphabet,
     Dfa,
-    dfa_complement,
     dfa_equivalent,
-    dfa_from_homomorphism,
     dfa_minimize,
 )
 from sfree.errors import (
@@ -23,11 +28,11 @@ from sfree.monoid import (
     AperiodicityWitness,
     FiniteMonoid,
     Homomorphism,
+    _compose,
     _first_periodic,
     _power_shape,
     _psi,
     _transformations,
-    format_monoid_table,
     is_aperiodic,
     local_divisor,
     parse_monoid_table,
@@ -322,7 +327,8 @@ class TestMetamorphic:
     def test_same_monoid_same_result(self, pattern, letters):
         d, _ = corpus_dfa(pattern, letters)
         result = transition_aperiodicity(d)
-        assert transition_aperiodicity(dfa_complement(d)) == result
+        complement = Dfa(d.alphabet, d.transitions, d.initial, frozenset(range(d.n_states)) - d.accepting)
+        assert transition_aperiodicity(complement) == result
         # renaming in order keeps the enumeration order, witness included
         rename = str.maketrans("abc", "xyz")
         renamed, _ = corpus_dfa(pattern.translate(rename), letters.translate(rename))
@@ -614,8 +620,20 @@ def state_maps(draw):
 @given(state_maps())
 def test_squaring_check_agrees_with_power_shape(t):
     index, period = _power_shape(t)
-    witness = _first_periodic([t])
+    witness = _first_periodic([t], _compose, len(t), [t].__getitem__)
     if period >= 2:
         assert witness == AperiodicityWitness(element=0, index=index, period=period)
     else:
         assert witness is None
+    # the table of the monoid that the powers of t generate, by brute force:
+    # the identity map, then t, t^2, ... until a power repeats; a few
+    # permutations have hundreds of powers, and their tables are skipped
+    elems = [tuple(range(len(t)))]
+    while (power := tuple(t[s] for s in elems[-1])) not in elems and len(elems) <= 128:
+        elems.append(power)
+    if power not in elems:
+        return
+    pos = {u: i for i, u in enumerate(elems)}
+    table = [[pos[tuple(v[s] for s in u)] for v in elems] for u in elems]
+    expected = None if period == 1 else AperiodicityWitness(element=1, index=index, period=period)
+    assert is_aperiodic(FiniteMonoid(table, 0)) == expected

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import APERIODIC_CORPUS, subterms, words_upto
+from corpus import APERIODIC_CORPUS, desugar, subterms, words_upto
 from sfree import sfexpr as sf
 from sfree.automata import (
     Alphabet,
@@ -19,7 +19,6 @@ from sfree.sfexpr import (
     Difference,
     Letter,
     Union,
-    desugar,
     eval_expr,
     expr_letters,
     metrics,

@@ -8,14 +8,14 @@ import pytest
 
 import sfree
 
-from corpus import APERIODIC_CORPUS, NON_APERIODIC, corpus_dfa, words_upto
+from corpus import APERIODIC_CORPUS, NON_APERIODIC, corpus_dfa, dfa_from_homomorphism, words_upto
 from sfree.automata import (
     Alphabet,
     dfa_combine,
     dfa_equivalent,
-    dfa_from_homomorphism,
     enumerate_members,
 )
+from sfree.cli import run_cli
 from sfree.errors import AlphabetError, MonoidError, MonoidSizeError, NonAperiodicError
 from sfree.monoid import (
     FiniteMonoid,
@@ -66,6 +66,11 @@ def ab_star_setup():
 class TestTokens:
     def test_round_trip(self):
         assert token_element(element_token(17)) == 17
+        # a token reads back only as the text element_token writes: Unicode
+        # digits, which str.isdigit accepts, and a leading zero do not
+        for tok in ("m²", "m٣", "m03"):
+            with pytest.raises(MonoidError):
+                token_element(tok)
 
     def test_bad_tokens(self):
         for tok in ("m", "x3", "m-1", "3"):
@@ -307,6 +312,25 @@ class TestDecide:
         _, hom, _ = transition_monoid(d)
         synthesize(hom, verdict.accept_elements[0])
         assert len(calls) == 1  # the public entry point still checks
+
+    def test_verdict_path_takes_no_powers(self, monkeypatch, capsys, tmp_path):
+        # every aperiodicity test on the verdict path is the squaring test;
+        # FiniteMonoid.power serves only the witness check and the tests
+        def refuse(monoid, x, k):
+            raise AssertionError("FiniteMonoid.power was called")
+
+        monkeypatch.setattr(FiniteMonoid, "power", refuse)
+        for _, pattern, letters in APERIODIC_CORPUS:
+            d, _ = corpus_dfa(pattern, letters)
+            assert decide_star_free(d).star_free
+        _, monoid, _, _ = ab_star_setup()
+        for c in range(monoid.size):
+            local_divisor(monoid, c)
+        path = tmp_path / "m.txt"
+        for table, code in (("2 0\n0 1\n1 0\n", 1), ("2 0\n0 1\n1 1\n", 0)):
+            path.write_text(table, encoding="utf-8")
+            assert run_cli(["analyze", "--monoid", str(path)]) == code
+            assert capsys.readouterr().err == ""
 
     def test_simplify_opt_out(self):
         # the opt-out is gone; the unsimplified union still denotes the language
