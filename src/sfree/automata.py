@@ -145,22 +145,30 @@ def enumerate_members(d: Dfa, maxlen: int) -> list[Word]:
 def dfa_minimize(d: Dfa) -> Dfa:
     """Minimal complete DFA for the same language.
 
-    Unreachable states are dropped, equivalent states merged (Hopcroft's
-    partition refinement, time O(k·m·log m) for m states and k letters),
-    and the result is renumbered breadth-first from the initial state with
-    letters in alphabet order.  The numbering makes the result
+    Unreachable states are dropped by one breadth-first crawl, and the
+    crawled DFA is quotiented by :func:`_quotient`.  The result is
     canonical: two language-equal DFAs minimize to structurally identical
     values.  A result of this function is returned unchanged when passed in
     again.
     """
     if d._minimal:
         return d
-    reach = _crawl(
-        d.alphabet, d.initial, d.transitions.__getitem__, d.accepting.__contains__
+    return _quotient(
+        _crawl(d.alphabet, d.initial, d.transitions.__getitem__, d.accepting.__contains__)
     )
+
+
+def _quotient(reach: Dfa) -> Dfa:
+    """Minimal complete DFA for the language of ``reach``, a DFA whose
+    states are all reachable from its initial state 0, as :func:`_crawl`
+    returns.
+
+    Equivalent states are merged (Hopcroft's partition refinement, time
+    O(k·m·log m) for m states and k letters), and the quotient is renumbered
+    breadth-first from the initial state with letters in alphabet order."""
     trans, acc, m = reach.transitions, reach.accepting, reach.n_states
 
-    block, n_classes = _hopcroft(trans, acc, len(d.alphabet))
+    block, n_classes = _hopcroft(trans, acc, len(reach.alphabet))
 
     # quotient automaton, renumbered canonically
     btrans: list[tuple[int, ...] | None] = [None] * n_classes
@@ -169,7 +177,7 @@ def dfa_minimize(d: Dfa) -> Dfa:
         if btrans[b] is None:
             btrans[b] = tuple(block[t] for t in trans[s])
     bacc = {block[s] for s in acc}
-    out = _crawl(d.alphabet, block[0], btrans.__getitem__, bacc.__contains__)
+    out = _crawl(reach.alphabet, block[0], btrans.__getitem__, bacc.__contains__)
     if out.n_states != n_classes:
         raise SfreeError("quotient of a reachable DFA is reachable")
     object.__setattr__(out, "_minimal", True)
@@ -309,7 +317,8 @@ def dfa_combine(kind: str, d1: Dfa, d2: Dfa) -> Dfa:
     """Language operation on two DFAs over the same alphabet.
 
     ``kind`` is one of ``union``, ``difference``, ``intersection``,
-    ``concatenation``.  The result is minimized (canonically)."""
+    ``concatenation``.  The result is minimized (canonically): the crawl
+    that builds it reaches every state, so it is only quotiented."""
     _require_same_alphabet(d1, d2)
     if kind == "union":
         out = _product(d1, d2, lambda x, y: x or y)
@@ -321,7 +330,7 @@ def dfa_combine(kind: str, d1: Dfa, d2: Dfa) -> Dfa:
         out = _concatenate(d1, d2)
     else:
         raise ValueError(f"unknown combine kind {kind!r}; expected one of {COMBINE_KINDS}")
-    return dfa_minimize(out)
+    return _quotient(out)
 
 
 # ---------------------------------------------------------------------------

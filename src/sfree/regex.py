@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Dfa, _crawl, dfa_minimize
+from .automata import Alphabet, Dfa, _crawl, _quotient
 from .errors import MAX_NESTING, ParseError
 
 RESERVED = "|*()_#"
@@ -127,29 +127,44 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     return node
 
 
-def _positions(r: Regex, alphabet: Alphabet):
-    """Position-automaton data of ``r``: one position per letter occurrence.
+def _bits(x: int):
+    """The indices of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    Returns ``(letters, follow, first, last, nullable)``: the alphabet index
-    of each position, the positions that may follow each one, the positions
-    that may start and end a word, and whether the empty word matches.  The
-    walk is post-order over an explicit stack, so AST depth is unbounded."""
-    letters: list[int] = []
-    follow: list[set[int]] = []
-    # value stack of (nullable, first, last), one entry per finished subtree
-    done: list[tuple[bool, frozenset[int], frozenset[int]]] = []
+
+def _positions(r: Regex, alphabet: Alphabet):
+    """Position-automaton data of ``r``, with sets of positions as int
+    bitsets.
+
+    A position is a letter occurrence, or one letter class: a ``Union``
+    whose two children are each a letter or such a class is one position
+    that carries several letters, so ``(b|c|d)`` has one position, not
+    three.  Returns ``(masks, follow, first, last, nullable)``: for each
+    alphabet letter the set of positions that carry it, the positions that
+    may follow each one, the positions that may start and end a word, and
+    whether the empty word matches.  The walk is post-order over an explicit
+    stack, so AST depth is unbounded."""
+    # the letters of each position, as a bitset over alphabet indices
+    carried: list[int] = []
+    follow: list[int] = []
+    # value stack of (nullable, first, last, is a class), one entry per
+    # finished subtree
+    done: list[tuple[bool, int, int, bool]] = []
     todo: list[tuple[Regex, bool]] = [(r, False)]
     while todo:
         node, children_done = todo.pop()
         if isinstance(node, Letter):
-            p = len(letters)
-            letters.append(alphabet.index(node.letter))
-            follow.append(set())
-            done.append((False, frozenset({p}), frozenset({p})))
+            p = 1 << len(carried)
+            carried.append(1 << alphabet.index(node.letter))
+            follow.append(0)
+            done.append((False, p, p, True))
         elif isinstance(node, Empty):
-            done.append((False, frozenset(), frozenset()))
+            done.append((False, 0, 0, False))
         elif isinstance(node, Epsilon):
-            done.append((True, frozenset(), frozenset()))
+            done.append((True, 0, 0, False))
         elif not children_done:
             if not isinstance(node, (Star, Union, Concat)):
                 raise TypeError(f"not a regex node: {node!r}")
@@ -160,48 +175,55 @@ def _positions(r: Regex, alphabet: Alphabet):
                 todo.append((node.right, False))
                 todo.append((node.left, False))
         elif isinstance(node, Star):
-            _, first, last = done.pop()
-            for p in last:
+            _, first, last, _ = done.pop()
+            for p in _bits(last):
                 follow[p] |= first
-            done.append((True, first, last))
+            done.append((True, first, last, False))
         else:
-            n2, f2, l2 = done.pop()
-            n1, f1, l1 = done.pop()
+            n2, f2, l2, c2 = done.pop()
+            n1, f1, l1, c1 = done.pop()
             if isinstance(node, Union):
-                done.append((n1 or n2, f1 | f2, l1 | l2))
+                if c1 and c2:
+                    # each child is one position, the right one created
+                    # last: fold it into the left one
+                    follow.pop()
+                    right = carried.pop()
+                    carried[-1] |= right
+                    done.append((False, f1, l1, True))
+                else:
+                    done.append((n1 or n2, f1 | f2, l1 | l2, False))
             else:
-                for p in l1:
+                for p in _bits(l1):
                     follow[p] |= f2
                 done.append(
-                    (n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2)
+                    (n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2, False)
                 )
-    nullable, first, last = done.pop()
-    return letters, follow, first, last, nullable
+    nullable, first, last, _ = done.pop()
+    masks = [0] * len(alphabet)
+    for p, letters in enumerate(carried):
+        for j in _bits(letters):
+            masks[j] |= 1 << p
+    return masks, follow, first, last, nullable
 
 
 def regex_to_dfa(r: Regex, alphabet: Alphabet) -> Dfa:
     """Minimal complete DFA for the regex's language over ``alphabet``.
 
     Builds the position (Glushkov) automaton, determinizes it by one subset
-    construction and minimizes once.  A subset state is the set of positions
-    the last letter read may stand at; the start state holds only a marker
-    position, one past the real ones, that stands before the first letter."""
-    letters, follow, first, last, nullable = _positions(r, alphabet)
-    k = len(alphabet)
-    # successors of each position, then of the start marker, split by letter
-    succ = [
-        [frozenset(q for q in nxt if letters[q] == j) for j in range(k)]
-        for nxt in (*follow, first)
-    ]
-    start = len(follow)
+    crawl and quotients the crawled DFA once.  A subset state is the bitset
+    of positions the last letter read may stand at; the start state holds
+    only a marker position, one past the real ones, that stands before the
+    first letter and ends a word when the regex is nullable."""
+    masks, follow, first, last, nullable = _positions(r, alphabet)
+    start = 1 << len(follow)
+    follow.append(first)
+    if nullable:
+        last |= start
 
-    def successors(state: frozenset[int]) -> list[frozenset[int]]:
-        if len(state) == 1:
-            (p,) = state
-            return succ[p]
-        return [frozenset().union(*(succ[p][j] for p in state)) for j in range(k)]
+    def successors(state: int) -> list[int]:
+        nxt = 0
+        for p in _bits(state):
+            nxt |= follow[p]
+        return [nxt & mask for mask in masks]
 
-    def final(state: frozenset[int]) -> bool:
-        return not last.isdisjoint(state) or (nullable and start in state)
-
-    return dfa_minimize(_crawl(alphabet, frozenset({start}), successors, final))
+    return _quotient(_crawl(alphabet, start, successors, last.__and__))

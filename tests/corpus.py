@@ -14,7 +14,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from sfree import regex as rx
+from sfree import automata, regex as rx
 from sfree.automata import Alphabet, Dfa
 from sfree.errors import MonoidError
 from sfree.regex import parse_regex, regex_to_dfa
@@ -58,6 +58,21 @@ NON_APERIODIC = [
 def corpus_dfa(pattern, letters):
     alphabet = Alphabet.of(letters)
     return regex_to_dfa(parse_regex(pattern, alphabet), alphabet), alphabet
+
+
+def count_crawls(monkeypatch):
+    """The start states of every ``_crawl`` call made from now on in the
+    test, under both names the package calls it by."""
+    calls = []
+    crawl = automata._crawl
+
+    def counted(alphabet, start, successors, final):
+        calls.append(start)
+        return crawl(alphabet, start, successors, final)
+
+    monkeypatch.setattr(automata, "_crawl", counted)
+    monkeypatch.setattr(rx, "_crawl", counted)
+    return calls
 
 
 def subterms(*roots):

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import dfa_from_homomorphism, dfa_objects, dfa_to_dict, reference, words_upto
+from corpus import count_crawls, dfa_from_homomorphism, dfa_objects, dfa_to_dict, reference, words_upto
 from sfree.automata import (
+    COMBINE_KINDS,
     Alphabet,
     Dfa,
     dfa_combine,
@@ -177,6 +178,16 @@ class TestCombine:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             dfa_combine("xor", universal_dfa(AB), universal_dfa(AB))
+
+    @pytest.mark.parametrize("kind", COMBINE_KINDS)
+    def test_one_crawl_then_the_quotient(self, kind, monkeypatch):
+        # the crawl that builds the result reaches every state, so only the
+        # quotient's renumbering crawls again
+        d1, d2 = ab_star_dfa(), letter_dfa(AB, "a")
+        calls = count_crawls(monkeypatch)
+        out = dfa_combine(kind, d1, d2)
+        assert len(calls) == 2
+        assert dfa_minimize(out) is out
 
     def test_complement(self):
         d = ab_star_dfa()

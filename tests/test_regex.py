@@ -4,11 +4,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import APERIODIC_CORPUS, NON_APERIODIC, naive_match, words_upto
+from corpus import APERIODIC_CORPUS, NON_APERIODIC, count_crawls, naive_match, words_upto
 from sfree import regex as rx
 from sfree.automata import Alphabet, Dfa, dfa_equivalent, dfa_minimize, universal_dfa
-from sfree.errors import MAX_NESTING, ParseError
-from sfree.regex import parse_regex, regex_to_dfa
+from sfree.errors import MAX_NESTING, MonoidSizeError, ParseError
+from sfree.monoid import transition_aperiodicity
+from sfree.regex import _positions, parse_regex, regex_to_dfa
 
 AB = Alphabet.of("ab")
 A1 = Alphabet.of("a")
@@ -97,6 +98,41 @@ class TestCompile:
         assert regex_to_dfa(parse_regex("a" + "_" * 3000, AB), AB) == letter_a
         assert regex_to_dfa(parse_regex("|".join("a" * 3000), AB), AB) == letter_a
 
+    @pytest.mark.parametrize("pattern", ["#", "_", "(ab)*", "(a|b)*ab", "a*b|(ba)*"])
+    def test_one_subset_crawl_then_the_quotient(self, pattern, monkeypatch):
+        # the subset crawl reaches every state, so only the quotient's
+        # renumbering crawls again
+        calls = count_crawls(monkeypatch)
+        d = regex_to_dfa(parse_regex(pattern, AB), AB)
+        assert len(calls) == 2
+        assert dfa_minimize(d) is d
+
+
+def positions(pattern, letters):
+    alphabet = Alphabet.of(letters)
+    return _positions(parse_regex(pattern, alphabet), alphabet)
+
+
+class TestPositions:
+    def test_letter_classes_are_one_position_each(self):
+        masks, follow, first, last, nullable = positions("(a|b|c)*(d|e)", "abcde")
+        assert masks == [0b01, 0b01, 0b01, 0b10, 0b10]
+        assert follow == [0b11, 0]
+        assert (first, last, nullable) == (0b11, 0b10, False)
+
+    def test_classes_fold_whatever_their_nesting(self):
+        assert positions("a|(b|a)", "ab")[0] == [1, 1]
+        assert positions("((a|b)|(b|a))*a", "ab")[0] == [0b11, 0b01]
+
+    def test_long_union_of_one_letter_is_one_position(self):
+        masks, follow, first, last, nullable = positions("|".join("a" * 20000), "a")
+        assert (masks, follow, first, last, nullable) == ([1], [0], 1, 1, False)
+
+    @pytest.mark.parametrize("pattern, nullable", [("(a|#)", False), ("(a|_)", True)])
+    def test_empty_set_and_empty_word_are_not_letters(self, pattern, nullable):
+        masks, follow, first, last, got = positions(pattern, "a")
+        assert (masks, follow, first, last, got) == ([1], [0], 1, 1, nullable)
+
 
 def python_pattern(node):
     """The AST as a pattern for Python's ``re``: ``_`` is the empty pattern
@@ -120,6 +156,9 @@ ORACLE_PATTERNS = [
         "_", "#", "_*", "#*", "#a", "a#|b", "a|_", "_|ab", "(_|#)*", "(a|_)*",
         "a**", "(a*)*b", "(a*b*)*", "((ab)*a*)**", "((a|b)*a)*b",
         "(a|_)(b|_)*a", "(aa|b)*(a|_)", "(a(b(ab)*)*)*", "(a|b|_)(ab|ba|_)*",
+        # letter classes, next to the empty set and the empty word
+        "(a|#)*b", "(#|a)b", "(a|_)|b", "a|(b|a)", "((a|b)|(b|a))*a", "(a|b)*|#",
+        "((a|b)*|a)b", "(a|b)(a|b)*(a|_)",
     )
 ] + [(pattern, letters) for _, pattern, letters in APERIODIC_CORPUS + NON_APERIODIC]
 
@@ -189,3 +228,46 @@ def test_parse_regex_returns_or_raises_parse_error(text):
     except ParseError:
         return
     assert isinstance(result, rx.Regex)
+
+
+def reversed_regex(node):
+    """The AST of the reversed language: every concatenation swapped."""
+    if isinstance(node, rx.Concat):
+        return rx.Concat(reversed_regex(node.right), reversed_regex(node.left))
+    if isinstance(node, rx.Union):
+        return rx.Union(reversed_regex(node.left), reversed_regex(node.right))
+    if isinstance(node, rx.Star):
+        return rx.Star(reversed_regex(node.inner))
+    return node
+
+
+def monoid_size_and_verdict(ast, alphabet):
+    try:
+        size, witness = transition_aperiodicity(regex_to_dfa(ast, alphabet))
+    except MonoidSizeError:
+        return "over the cap"
+    return size, witness is None
+
+
+def assert_reversal_keeps_monoid(ast, alphabet):
+    # the syntactic monoid of the reversed language is the opposite monoid:
+    # same size, aperiodic or not alike, though its first witness may differ
+    assert monoid_size_and_verdict(reversed_regex(ast), alphabet) == (
+        monoid_size_and_verdict(ast, alphabet)
+    )
+
+
+@pytest.mark.parametrize(
+    "pattern, letters",
+    [entry[1:] for entry in APERIODIC_CORPUS + NON_APERIODIC],
+    ids=[entry[0] for entry in APERIODIC_CORPUS + NON_APERIODIC],
+)
+def test_reversal_keeps_monoid_size_and_verdict(pattern, letters):
+    alphabet = Alphabet.of(letters)
+    assert_reversal_keeps_monoid(parse_regex(pattern, alphabet), alphabet)
+
+
+@settings(max_examples=150, deadline=None)
+@given(regexes)
+def test_reversal_keeps_monoid_size_and_verdict_on_random_regexes(ast):
+    assert_reversal_keeps_monoid(ast, AB)
